@@ -21,6 +21,12 @@ fi
 echo "==> cargo build --release (workspace, bins, benches)"
 cargo build --release --workspace --bins --benches
 
+echo "==> cargo check (benchmark crate, its own workspace)"
+# perfbench/ builds against the workspace crates by path; checking it here
+# turns a removed or renamed public item it calls into a CI failure
+# rather than a benchmark-run failure.
+cargo check -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q (workspace)"
 # STEM_CHECKED_ACCESSES keeps the 1M-access audited runs tractable in CI;
 # drop the override locally for the full acceptance-grade run. The audited

@@ -6,21 +6,25 @@
 //!   conflict misses (relative to a 32-way bound);
 //! * [`Scheme`] — the scheme zoo, constructable by name, powering every
 //!   experiment binary;
-//! * [`run_scheme`], [`run_system`], [`assoc_sweep`] — experiment
-//!   drivers returning MPKI / [`SystemMetrics`] rows;
+//! * [`RunPlan`] and [`execute`] — the one experiment driver: a scheme,
+//!   geometry and warm-up split replayed over a decoded trace through the
+//!   bare LLC or the full system, sharded, sampled or restored when the
+//!   scheme's [`Caps`] allow, returning MPKI / [`SystemMetrics`];
 //! * [`geomean`], [`Table`] — reporting helpers that render the paper's
 //!   tables as text.
 //!
 //! # Examples
 //!
 //! ```
-//! use stem_analysis::{run_scheme, Scheme};
-//! use stem_sim_core::CacheGeometry;
+//! use stem_analysis::{execute, warm_split, RunPlan, Scheme};
+//! use stem_sim_core::{CacheGeometry, DecodedTrace};
 //! use stem_workloads::BenchmarkProfile;
 //!
 //! let geom = CacheGeometry::new(64, 4, 64).unwrap();
-//! let trace = BenchmarkProfile::by_name("gromacs").unwrap().trace(geom, 20_000);
-//! let mpki = run_scheme(Scheme::Lru, geom, &trace);
+//! let raw = BenchmarkProfile::by_name("gromacs").unwrap().trace(geom, 20_000);
+//! let trace = DecodedTrace::decode(&raw, geom);
+//! let plan = RunPlan::new(Scheme::Lru, geom, warm_split(trace.len(), 0.2));
+//! let mpki = execute(&plan, &trace).unwrap().mpki;
 //! assert!(mpki >= 0.0);
 //! ```
 
@@ -28,6 +32,7 @@ mod capacity;
 mod classify;
 mod mix;
 mod mrc;
+mod plan;
 mod report;
 mod scheme;
 mod stack_distance;
@@ -36,14 +41,10 @@ pub use capacity::{CapacityDemandProfiler, DemandHistogram};
 pub use classify::{classify_workload, ClassificationReport};
 pub use mix::{run_mix_decoded, MixOutcome};
 pub use mrc::MissRateCurve;
+pub use plan::{caps, execute, Caps, Fidelity, Route, RunError, RunPlan, RunReport, Start, Target};
 pub use report::{geomean, Table};
 pub use scheme::{
-    assoc_point, assoc_point_decoded, assoc_point_sharded, assoc_sweep, assoc_sweep_decoded,
-    build_audited_cache, build_cache, replay_sample_warmed, replay_shard_warmed, replay_warmed,
-    run_scheme, run_scheme_from_snapshot, run_scheme_warmed, run_scheme_warmed_decoded,
-    run_scheme_warmed_sampled, run_scheme_warmed_sharded, run_system, run_system_decoded,
-    sampled_mpki, scheme_supports_set_sampling, scheme_supports_set_sharding,
-    scheme_supports_snapshot, sharded_mpki, warm_scheme_snapshot, warm_split, Scheme,
+    build_audited_cache, build_cache, replay_warmed, warm_scheme_snapshot, warm_split, Scheme,
 };
 pub use stack_distance::StackDistance;
 

@@ -22,14 +22,10 @@
 //! the bound. When `STEM_CSV_DIR` is set the full record lands in
 //! `$STEM_CSV_DIR/BENCH_sampling.json`.
 
-use std::time::Duration;
-
-use stem_analysis::{
-    run_scheme_warmed_decoded, run_scheme_warmed_sampled, scheme_supports_set_sampling, Scheme,
-};
+use stem_analysis::{caps, warm_split, Fidelity, RunPlan, Scheme};
 use stem_bench::config::Config;
 use stem_bench::harness::{prepare_trace, WARMUP_FRACTION};
-use stem_bench::timing::{best_of, best_of_paired};
+use stem_bench::timing::race_plans;
 use stem_sim_core::{CacheGeometry, Json, SampledTrace};
 use stem_workloads::BenchmarkProfile;
 
@@ -166,7 +162,7 @@ fn main() {
     let eligible: Vec<Scheme> = Scheme::ALL
         .iter()
         .copied()
-        .filter(|&s| scheme_supports_set_sampling(s, geom))
+        .filter(|&s| caps(s, geom).set_sampling)
         .collect();
 
     println!(
@@ -183,6 +179,7 @@ fn main() {
         };
         let prepared = prepare_trace(&bench, geom, accesses);
         let source = &*prepared.trace;
+        let warm_len = warm_split(source.len(), WARMUP_FRACTION);
         for &rate in &RATES {
             // Selection is timed separately: one sample serves every
             // eligible scheme at this rate.
@@ -196,38 +193,24 @@ fn main() {
             }
             let sample = sample.expect("REPS > 0");
             for &scheme in &eligible {
-                // Exact and sampled replay timed interleaved (the
-                // best_of_paired rationale: clock drift on shared hosts),
-                // with MPKIs captured from the same closures.
-                let mut exact_mpki = 0.0;
-                let mut sampled_mpki = 0.0;
-                let (de, ds): (Duration, Duration) = best_of_paired(
-                    REPS,
-                    || {
-                        exact_mpki =
-                            run_scheme_warmed_decoded(scheme, geom, source, WARMUP_FRACTION);
-                        exact_mpki.to_bits()
-                    },
-                    || {
-                        sampled_mpki = run_scheme_warmed_sampled(
-                            scheme,
-                            geom,
-                            source,
-                            &sample,
-                            WARMUP_FRACTION,
-                        );
-                        sampled_mpki.to_bits()
-                    },
-                );
+                // Exact and sampled replay timed interleaved (clock
+                // drift on shared hosts).
+                let exact = RunPlan::new(scheme, geom, warm_len);
+                let sampled = RunPlan {
+                    fidelity: Fidelity::Sampled(&sample),
+                    ..exact
+                };
+                let [(e, exact_secs), (s, replay_secs)] =
+                    race_plans(REPS, source, &exact, &sampled);
                 let cell = Cell {
                     benchmark: name.clone(),
                     scheme: scheme.label(),
                     rate,
-                    exact_mpki,
-                    sampled_mpki,
-                    exact_secs: de.as_secs_f64(),
+                    exact_mpki: e.mpki,
+                    sampled_mpki: s.mpki,
+                    exact_secs,
                     select_secs,
-                    replay_secs: ds.as_secs_f64(),
+                    replay_secs,
                 };
                 println!(
                     "{} {} 1/{} {:.6} {:.6} {:.6}",
@@ -251,22 +234,6 @@ fn main() {
                 cells.push(cell);
             }
         }
-    }
-
-    // Timing smoke for trace selection alone (stderr only).
-    if let Some(bench) = benchmarks
-        .first()
-        .and_then(|n| BenchmarkProfile::by_name(n))
-    {
-        let prepared = prepare_trace(&bench, geom, accesses);
-        let d = best_of(REPS, || {
-            SampledTrace::select(&prepared.trace, 16, seed).len()
-        });
-        eprintln!(
-            "select(rate 16) over {} accesses: {:.3}s best-of-{REPS}",
-            prepared.trace.len(),
-            d.as_secs_f64()
-        );
     }
 
     let max_err = cells.iter().map(Cell::rel_error).fold(0.0f64, f64::max);

@@ -26,12 +26,10 @@
 //! `STEM_CSV_DIR` is set the full record lands in
 //! `$STEM_CSV_DIR/BENCH_snapshot.json`.
 
-use stem_analysis::{
-    run_scheme_from_snapshot, run_scheme_warmed_decoded, scheme_supports_snapshot,
-    warm_scheme_snapshot, warm_split, Scheme,
-};
+use stem_analysis::{caps, warm_scheme_snapshot, warm_split, RunPlan, Scheme, Start};
 use stem_bench::config::Config;
 use stem_bench::harness::{prepare_trace, WARMUP_FRACTION};
+use stem_bench::timing::{best_of, race_plans};
 use stem_sim_core::{CacheGeometry, Json};
 use stem_workloads::BenchmarkProfile;
 
@@ -144,7 +142,7 @@ fn main() {
     let eligible: Vec<Scheme> = Scheme::ALL
         .iter()
         .copied()
-        .filter(|&s| scheme_supports_snapshot(s, geom))
+        .filter(|&s| caps(s, geom).snapshot)
         .collect();
 
     println!(
@@ -164,26 +162,21 @@ fn main() {
         let source = &*prepared.trace;
         let warm_len = warm_split(source.len(), WARMUP_FRACTION);
         for &scheme in &eligible {
-            let mut cold_secs = f64::INFINITY;
-            let mut warm_snapshot_secs = f64::INFINITY;
-            let mut restore_secs = f64::INFINITY;
-            let mut cold_mpki = 0.0;
-            let mut restored_mpki = 0.0;
-            for _ in 0..REPS {
-                // Phases interleaved within each rep (the best_of_paired
-                // rationale: clock drift on shared hosts).
-                let t = std::time::Instant::now();
-                cold_mpki = run_scheme_warmed_decoded(scheme, geom, source, WARMUP_FRACTION);
-                cold_secs = cold_secs.min(t.elapsed().as_secs_f64());
-                let t = std::time::Instant::now();
-                let snap = warm_scheme_snapshot(scheme, geom, source, warm_len)
-                    .expect("scheme opted into snapshots");
-                warm_snapshot_secs = warm_snapshot_secs.min(t.elapsed().as_secs_f64());
-                let t = std::time::Instant::now();
-                restored_mpki = run_scheme_from_snapshot(scheme, geom, source, &snap, warm_len)
-                    .expect("snapshot restores into its own (scheme, geometry)");
-                restore_secs = restore_secs.min(t.elapsed().as_secs_f64());
-            }
+            let mut snap = None;
+            let warm_snapshot_secs = best_of(REPS, || {
+                snap = warm_scheme_snapshot(scheme, geom, source, warm_len);
+            })
+            .as_secs_f64();
+            let snap = snap.expect("scheme opted into snapshots");
+            // Cold and restored replay timed interleaved (clock drift on
+            // shared hosts).
+            let cold = RunPlan::new(scheme, geom, warm_len);
+            let restored = RunPlan {
+                start: Start::Restore(&snap),
+                ..cold
+            };
+            let [(c, cold_secs), (r, restore_secs)] = race_plans(REPS, source, &cold, &restored);
+            let (cold_mpki, restored_mpki) = (c.mpki, r.mpki);
             if cold_mpki.to_bits() != restored_mpki.to_bits() {
                 eprintln!(
                     "ERROR: {name}/{}: restored MPKI {restored_mpki} != cold {cold_mpki}",

@@ -9,8 +9,8 @@
 //!
 //! Run with `cargo run --release -p stem-bench --bin capacity_sweep`.
 
-use stem_analysis::{run_scheme_warmed, Scheme, Table};
-use stem_sim_core::CacheGeometry;
+use stem_analysis::{execute, warm_split, RunPlan, Scheme, Table};
+use stem_sim_core::{CacheGeometry, DecodedTrace};
 use stem_workloads::BenchmarkProfile;
 
 fn main() {
@@ -32,9 +32,14 @@ fn main() {
         let mut t = Table::new(headers);
         for &sets in &set_points {
             let geom = CacheGeometry::new(sets, 16, 64).expect("valid geometry");
+            let decoded = DecodedTrace::decode(&trace, geom);
+            let warm_len = warm_split(trace.len(), 0.2);
             let values: Vec<f64> = Scheme::PAPER
                 .iter()
-                .map(|&s| run_scheme_warmed(s, geom, &trace, 0.2))
+                .map(|&s| {
+                    let plan = RunPlan::new(s, geom, warm_len);
+                    execute(&plan, &decoded).expect("cold exact plan").mpki
+                })
                 .collect();
             let label = format!("{}KB", geom.capacity_bytes() / 1024);
             t.row_f64(&label, &values);

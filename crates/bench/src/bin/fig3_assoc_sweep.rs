@@ -10,9 +10,9 @@
 //!
 //! Run with `cargo run --release -p stem-bench --bin fig3_assoc_sweep`.
 
-use stem_analysis::{assoc_point_decoded, Scheme, Table};
+use stem_analysis::{execute, warm_split, RunPlan, Scheme, Table};
 use stem_bench::harness::{
-    accesses_per_benchmark, prepare_trace, sensitivity_benchmarks, sweep_ways,
+    accesses_per_benchmark, prepare_trace, sensitivity_benchmarks, sweep_ways, WARMUP_FRACTION,
 };
 use stem_bench::pool;
 use stem_sim_core::CacheGeometry;
@@ -31,6 +31,7 @@ fn main() {
 
     for bench in sensitivity_benchmarks() {
         let trace = prepare_trace(&bench, base, accesses).trace;
+        let warm_len = warm_split(trace.len(), WARMUP_FRACTION);
         eprintln!(
             "Fig. 3 ({}) sweeping {} points on {} thread(s)...",
             bench.name(),
@@ -42,8 +43,14 @@ fn main() {
             .flat_map(|&s| {
                 let trace = &trace;
                 let ways = &ways;
-                ways.iter()
-                    .map(move |&w| move || assoc_point_decoded(s, base, w, trace))
+                ways.iter().map(move |&w| {
+                    move || {
+                        let geom = CacheGeometry::new(base.sets(), w, base.line_bytes())
+                            .expect("sweep geometry is valid");
+                        let plan = RunPlan::new(s, geom, warm_len);
+                        execute(&plan, trace).expect("cold exact plan").mpki
+                    }
+                })
             })
             .collect();
         let mpki = pool::map_ordered(jobs);

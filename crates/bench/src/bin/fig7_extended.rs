@@ -4,15 +4,13 @@
 //!
 //! Run with `cargo run --release -p stem-bench --bin fig7_extended`.
 
-use stem_analysis::{geomean, run_system_decoded, Scheme, Table};
-use stem_bench::harness::{accesses_per_benchmark, prepare_trace, WARMUP_FRACTION};
-use stem_hierarchy::SystemConfig;
+use stem_analysis::{geomean, Scheme, Table};
+use stem_bench::harness::{accesses_per_benchmark, prepare_trace, system_cell};
 use stem_sim_core::CacheGeometry;
 use stem_workloads::spec2010_suite;
 
 fn main() {
     let geom = CacheGeometry::micro2010_l2();
-    let cfg = SystemConfig::micro2010();
     let accesses = accesses_per_benchmark();
     let schemes: Vec<Scheme> = Scheme::ALL
         .iter()
@@ -27,10 +25,10 @@ fn main() {
 
     for bench in spec2010_suite() {
         let trace = prepare_trace(&bench, geom, accesses).trace;
-        let lru = run_system_decoded(Scheme::Lru, geom, cfg, &trace, WARMUP_FRACTION);
+        let lru = system_cell(Scheme::Lru, geom, &trace);
         let mut values = Vec::new();
         for (i, &s) in schemes.iter().enumerate() {
-            let m = run_system_decoded(s, geom, cfg, &trace, WARMUP_FRACTION);
+            let m = system_cell(s, geom, &trace);
             let (nm, _, _) = m.normalized_to(&lru);
             values.push(nm);
             per_scheme[i].push(nm);

@@ -26,20 +26,17 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use stem_analysis::{
-    geomean, run_mix_decoded, run_scheme_from_snapshot, run_scheme_warmed_decoded,
-    run_scheme_warmed_sampled, scheme_supports_set_sampling, scheme_supports_set_sharding,
-    scheme_supports_snapshot, warm_scheme_snapshot, warm_split, CapacityDemandProfiler, MixOutcome,
-    Scheme, Table,
+    caps, execute, geomean, run_mix_decoded, warm_scheme_snapshot, warm_split,
+    CapacityDemandProfiler, Fidelity, MixOutcome, RunPlan, RunReport, Scheme, Start, Table,
 };
-use stem_bench::config::{Config, Fidelity};
+use stem_bench::config::Config;
 use stem_bench::harness::{
     capacity_sweep_sets, normalized_table, prepare_trace, prepare_trace_retaining_raw,
     run_benchmark_matrix_isolated, sensitivity_benchmarks, sweep_ways, PrepTimings,
     WARMUP_FRACTION,
 };
 use stem_bench::resilience::{ExperimentOutcome, ExperimentRunner};
-use stem_bench::shard::{assoc_point_auto, replay_warmed_auto, sharded_warmed_mpki};
-use stem_bench::snapshot::{replay_from_snapshot_or_cold, snapshot_path_applies};
+use stem_bench::timing::{best_of, race_plans};
 use stem_hierarchy::SystemConfig;
 use stem_llc::{overhead, StemConfig};
 use stem_sim_core::SampledTrace;
@@ -105,31 +102,70 @@ impl StageBreakdown {
     }
 }
 
-/// One scheme's serial-vs-sharded replay timing from the speedup
-/// measurement stage (best-of-N wall clock for the same warmed replay of
-/// the same trace; the MPKIs are asserted bit-identical first).
-struct SchemeSpeedup {
+/// One scheme's path-A-vs-path-B record from a measurement stage: the
+/// reports of two plans over the same trace with best-of-3 wall clock
+/// each (interleaved, [`race_plans`]).
+struct PairTiming {
     label: &'static str,
-    serial_secs: f64,
-    sharded_secs: f64,
+    a: RunReport,
+    a_secs: f64,
+    b: RunReport,
+    b_secs: f64,
 }
 
-/// The sharded-replay speedup record emitted (stderr + the
-/// `sharded_replay` section of `BENCH_run_all.json`) when `STEM_SHARDS`
-/// asks for more than one shard. Measured outside the experiment runner so
-/// the cell list keeps the same shape at every knob setting.
+impl PairTiming {
+    fn speedup(&self) -> f64 {
+        self.a_secs / self.b_secs.max(1e-12)
+    }
+
+    /// |b - a| / a over the two MPKIs (0 when a's MPKI is 0).
+    fn rel_error(&self) -> f64 {
+        if self.a.mpki == 0.0 {
+            0.0
+        } else {
+            (self.b.mpki - self.a.mpki).abs() / self.a.mpki
+        }
+    }
+}
+
+/// Races plan `a` against plan `b` (the same scheme over `trace`); when
+/// `exact`, the two MPKIs must be bit-identical. The one loop behind
+/// every measurement stage below, which run outside the experiment runner
+/// and touch only stderr and the JSON, so stdout stays byte-identical at
+/// every knob setting.
+fn race(trace: &DecodedTrace, a: RunPlan<'_>, b: RunPlan<'_>, exact: bool) -> PairTiming {
+    let [(ra, a_secs), (rb, b_secs)] = race_plans(3, trace, &a, &b);
+    if exact {
+        assert_eq!(
+            ra.mpki.to_bits(),
+            rb.mpki.to_bits(),
+            "{:?} replay diverged from {:?} for {} — boundary bug",
+            rb.route,
+            ra.route,
+            a.scheme
+        );
+    }
+    PairTiming {
+        label: a.scheme.label(),
+        a: ra,
+        a_secs,
+        b: rb,
+        b_secs,
+    }
+}
+
+/// The sharded-replay speedup record (the `sharded_replay` section of
+/// `BENCH_run_all.json`), measured when `STEM_SHARDS` asks for more than
+/// one shard: serial (a) vs sharded (b) for every scheme that shards.
 struct ShardSpeedup {
     trace_name: &'static str,
     accesses: usize,
     shards: usize,
     threads: usize,
     partition_secs: f64,
-    schemes: Vec<SchemeSpeedup>,
+    schemes: Vec<PairTiming>,
 }
 
-/// Measures serial vs sharded warmed replay of `source` for every scheme
-/// that opts into set sharding, best-of-`REPS` each, after asserting the
-/// two paths produce bit-identical MPKI. Progress goes to stderr only.
 fn measure_shard_speedup(
     geom: CacheGeometry,
     source: &DecodedTrace,
@@ -137,48 +173,31 @@ fn measure_shard_speedup(
     shards: usize,
     threads: usize,
 ) -> ShardSpeedup {
-    const REPS: usize = 3;
     let t0 = std::time::Instant::now();
-    let plan = ShardedTrace::partition(source, shards);
+    let partition = ShardedTrace::partition(source, shards);
     let partition_secs = t0.elapsed().as_secs_f64();
-    let mut schemes = Vec::new();
-    for &scheme in Scheme::ALL.iter() {
-        if !scheme_supports_set_sharding(scheme, geom) {
-            continue;
-        }
-        let mut serial_secs = f64::INFINITY;
-        let mut sharded_secs = f64::INFINITY;
-        let mut serial_mpki = 0.0;
-        let mut sharded_mpki_v = 0.0;
-        for _ in 0..REPS {
-            let t = std::time::Instant::now();
-            serial_mpki = run_scheme_warmed_decoded(scheme, geom, source, WARMUP_FRACTION);
-            serial_secs = serial_secs.min(t.elapsed().as_secs_f64());
-            let t = std::time::Instant::now();
-            sharded_mpki_v =
-                sharded_warmed_mpki(scheme, geom, source, &plan, WARMUP_FRACTION, threads);
-            sharded_secs = sharded_secs.min(t.elapsed().as_secs_f64());
-        }
-        assert_eq!(
-            serial_mpki.to_bits(),
-            sharded_mpki_v.to_bits(),
-            "sharded replay diverged from serial for {scheme} — boundary bug"
-        );
-        eprintln!(
-            "  {:<8} serial {:.3}s, sharded {:.3}s ({:.2}x at {} shards / {} threads)",
-            scheme.label(),
-            serial_secs,
-            sharded_secs,
-            serial_secs / sharded_secs.max(1e-12),
-            shards,
-            threads,
-        );
-        schemes.push(SchemeSpeedup {
-            label: scheme.label(),
-            serial_secs,
-            sharded_secs,
-        });
-    }
+    let warm_len = warm_split(source.len(), WARMUP_FRACTION);
+    let schemes = Scheme::ALL
+        .into_iter()
+        .filter(|&s| caps(s, geom).set_sharding)
+        .map(|scheme| {
+            let serial = RunPlan::new(scheme, geom, warm_len);
+            let sharded = RunPlan {
+                shards: Some(&partition),
+                threads,
+                ..serial
+            };
+            let p = race(source, serial, sharded, true);
+            eprintln!(
+                "  {:<8} serial {:.3}s, sharded {:.3}s ({:.2}x at {shards} shards / {threads} threads)",
+                p.label,
+                p.a_secs,
+                p.b_secs,
+                p.speedup(),
+            );
+            p
+        })
+        .collect();
     ShardSpeedup {
         trace_name,
         accesses: source.len(),
@@ -189,45 +208,20 @@ fn measure_shard_speedup(
     }
 }
 
-/// One scheme's exact-vs-sampled comparison from the sampled-fidelity
-/// measurement stage: the whole-trace warmed MPKI and the scaled sampled
-/// estimate, with best-of-N wall clock for each path.
-struct SchemeSampleError {
-    label: &'static str,
-    exact_mpki: f64,
-    sampled_mpki: f64,
-    exact_secs: f64,
-    sampled_secs: f64,
-}
-
-impl SchemeSampleError {
-    /// |sampled - exact| / exact (0 when the exact MPKI is 0).
-    fn rel_error(&self) -> f64 {
-        if self.exact_mpki == 0.0 {
-            0.0
-        } else {
-            (self.sampled_mpki - self.exact_mpki).abs() / self.exact_mpki
-        }
-    }
-}
-
-/// The sampled-vs-exact record for one benchmark trace, emitted (stderr +
-/// the `sampled_fidelity` section of `BENCH_run_all.json`) when
-/// `STEM_FIDELITY=sampled`. Measured outside the experiment runner, stderr
-/// and JSON only — stdout stays byte-identical to the exact-path archive.
+/// The sampled-vs-exact record for one benchmark trace (an entry of the
+/// `sampled_fidelity` section), measured when `STEM_FIDELITY=sampled`:
+/// exact (a) vs sampled (b) for every scheme that samples. The sampled
+/// timing covers replay only; selection is timed once, since one sample
+/// serves every scheme.
 struct SampledFidelity {
     trace_name: String,
     accesses: usize,
     rate: u32,
     seed: u64,
     select_secs: f64,
-    schemes: Vec<SchemeSampleError>,
+    schemes: Vec<PairTiming>,
 }
 
-/// Measures exact vs sampled warmed replay of `source` for every scheme
-/// that opts into set sampling, best-of-`REPS` each. The sampled timing
-/// covers replay only (selection is timed once, separately — one sample
-/// serves every scheme, like one decode serves every cell).
 fn measure_sampled_fidelity(
     geom: CacheGeometry,
     source: &DecodedTrace,
@@ -235,49 +229,35 @@ fn measure_sampled_fidelity(
     rate: u32,
     seed: u64,
 ) -> SampledFidelity {
-    const REPS: usize = 3;
     let t0 = std::time::Instant::now();
     let sample = SampledTrace::select(source, rate, seed);
     let select_secs = t0.elapsed().as_secs_f64();
-    let mut schemes = Vec::new();
-    for &scheme in Scheme::ALL.iter() {
-        if !scheme_supports_set_sampling(scheme, geom) {
-            continue;
-        }
-        let mut exact_secs = f64::INFINITY;
-        let mut sampled_secs = f64::INFINITY;
-        let mut exact_mpki = 0.0;
-        let mut sampled_mpki = 0.0;
-        for _ in 0..REPS {
-            let t = std::time::Instant::now();
-            exact_mpki = run_scheme_warmed_decoded(scheme, geom, source, WARMUP_FRACTION);
-            exact_secs = exact_secs.min(t.elapsed().as_secs_f64());
-            let t = std::time::Instant::now();
-            sampled_mpki =
-                run_scheme_warmed_sampled(scheme, geom, source, &sample, WARMUP_FRACTION);
-            sampled_secs = sampled_secs.min(t.elapsed().as_secs_f64());
-        }
-        let entry = SchemeSampleError {
-            label: scheme.label(),
-            exact_mpki,
-            sampled_mpki,
-            exact_secs,
-            sampled_secs,
-        };
-        eprintln!(
-            "  {:<8} exact {:.3} MPKI in {:.3}s, sampled {:.3} MPKI in {:.3}s \
-             (rel err {:.2}%, {:.1}x at rate 1/{})",
-            entry.label,
-            entry.exact_mpki,
-            entry.exact_secs,
-            entry.sampled_mpki,
-            entry.sampled_secs,
-            entry.rel_error() * 100.0,
-            entry.exact_secs / entry.sampled_secs.max(1e-12),
-            sample.stride(),
-        );
-        schemes.push(entry);
-    }
+    let warm_len = warm_split(source.len(), WARMUP_FRACTION);
+    let schemes = Scheme::ALL
+        .into_iter()
+        .filter(|&s| caps(s, geom).set_sampling)
+        .map(|scheme| {
+            let exact = RunPlan::new(scheme, geom, warm_len);
+            let sampled = RunPlan {
+                fidelity: Fidelity::Sampled(&sample),
+                ..exact
+            };
+            let p = race(source, exact, sampled, false);
+            eprintln!(
+                "  {:<8} exact {:.3} MPKI in {:.3}s, sampled {:.3} MPKI in {:.3}s \
+                 (rel err {:.2}%, {:.1}x at rate 1/{})",
+                p.label,
+                p.a.mpki,
+                p.a_secs,
+                p.b.mpki,
+                p.b_secs,
+                p.rel_error() * 100.0,
+                p.speedup(),
+                sample.stride(),
+            );
+            p
+        })
+        .collect();
     SampledFidelity {
         trace_name,
         accesses: source.len(),
@@ -288,86 +268,54 @@ fn measure_sampled_fidelity(
     }
 }
 
-/// One scheme's cold-vs-restored timing from the snapshot-reuse
-/// measurement stage: the full warm-then-measure replay, the warm-once
-/// capture (warm prefix + checkpoint), and the restore-then-measure
-/// consumer, best-of-N each with the MPKIs asserted bit-identical first.
-struct SchemeSnapshotSpeedup {
-    label: &'static str,
-    cold_secs: f64,
-    warm_snapshot_secs: f64,
-    restore_secs: f64,
-}
-
-/// The warm-once-vs-cold record emitted (stderr + the `snapshot_reuse`
-/// section of `BENCH_run_all.json`) when `STEM_SNAPSHOTS` is on. Measured
-/// outside the experiment runner — stdout is never touched, so it stays
-/// byte-identical at either knob setting.
+/// The warm-once-vs-cold record (the `snapshot_reuse` section), measured
+/// whenever `STEM_SNAPSHOTS` is on: cold (a) vs restored (b) for every
+/// paper scheme that checkpoints, plus the best-of-3 warm-once capture.
+/// The honest framing: one restore saves at most the warm fraction (20%)
+/// of a cold replay — the structural win comes from a *family* of points
+/// sharing one warm capture, which the sweep drivers and the serve
+/// snapshot cache exploit.
 struct SnapshotReuse {
     trace_name: &'static str,
     accesses: usize,
     warm_len: usize,
-    schemes: Vec<SchemeSnapshotSpeedup>,
+    schemes: Vec<(PairTiming, f64)>,
 }
 
-/// Measures cold vs warm-once-and-restore replay of `source` for every
-/// paper scheme that opts into snapshots, best-of-`REPS` each, after
-/// asserting the two paths produce bit-identical MPKI. The honest
-/// framing: one restore saves at most the warm fraction (20%) of a cold
-/// replay — the structural win comes from a *family* of points sharing
-/// one warm capture, which the sweep drivers and the serve snapshot
-/// cache exploit.
 fn measure_snapshot_speedup(
     geom: CacheGeometry,
     source: &DecodedTrace,
     trace_name: &'static str,
 ) -> SnapshotReuse {
-    const REPS: usize = 3;
     let warm_len = warm_split(source.len(), WARMUP_FRACTION);
-    let mut schemes = Vec::new();
-    for &scheme in Scheme::PAPER.iter() {
-        if !scheme_supports_snapshot(scheme, geom) {
-            continue;
-        }
-        let mut cold_secs = f64::INFINITY;
-        let mut warm_snapshot_secs = f64::INFINITY;
-        let mut restore_secs = f64::INFINITY;
-        let mut cold_mpki = 0.0;
-        let mut restored_mpki = 0.0;
-        for _ in 0..REPS {
-            let t = std::time::Instant::now();
-            cold_mpki = run_scheme_warmed_decoded(scheme, geom, source, WARMUP_FRACTION);
-            cold_secs = cold_secs.min(t.elapsed().as_secs_f64());
-            let t = std::time::Instant::now();
-            let snap = warm_scheme_snapshot(scheme, geom, source, warm_len);
-            warm_snapshot_secs = warm_snapshot_secs.min(t.elapsed().as_secs_f64());
-            let s = snap.as_ref().expect("scheme opted into snapshots");
-            let t = std::time::Instant::now();
-            restored_mpki = run_scheme_from_snapshot(scheme, geom, source, s, warm_len)
-                .expect("snapshot restores into its own (scheme, geometry)");
-            restore_secs = restore_secs.min(t.elapsed().as_secs_f64());
-        }
-        assert_eq!(
-            cold_mpki.to_bits(),
-            restored_mpki.to_bits(),
-            "restored replay diverged from cold for {scheme} — snapshot bug"
-        );
-        eprintln!(
-            "  {:<8} cold {:.3}s, warm+snapshot {:.3}s, restore+measure {:.3}s \
-             ({:.2}x per restored point)",
-            scheme.label(),
-            cold_secs,
-            warm_snapshot_secs,
-            restore_secs,
-            cold_secs / restore_secs.max(1e-12),
-        );
-        schemes.push(SchemeSnapshotSpeedup {
-            label: scheme.label(),
-            cold_secs,
-            warm_snapshot_secs,
-            restore_secs,
-        });
-    }
+    let schemes = Scheme::PAPER
+        .into_iter()
+        .filter(|&s| caps(s, geom).snapshot)
+        .map(|scheme| {
+            let mut snap = None;
+            let warm_secs = best_of(3, || {
+                snap = warm_scheme_snapshot(scheme, geom, source, warm_len);
+            })
+            .as_secs_f64();
+            let snap = snap.expect("scheme opted into snapshots");
+            let cold = RunPlan::new(scheme, geom, warm_len);
+            let restored = RunPlan {
+                start: Start::Restore(&snap),
+                ..cold
+            };
+            let p = race(source, cold, restored, true);
+            eprintln!(
+                "  {:<8} cold {:.3}s, warm+snapshot {:.3}s, restore+measure {:.3}s \
+                 ({:.2}x per restored point)",
+                p.label,
+                p.a_secs,
+                warm_secs,
+                p.b_secs,
+                p.speedup(),
+            );
+            (p, warm_secs)
+        })
+        .collect();
     SnapshotReuse {
         trace_name,
         accesses: source.len(),
@@ -449,22 +397,21 @@ fn emit_timing_summary(
                 ]),
             ),
         ];
+        // One raced scheme: its label, each side's wall clock and the
+        // ratio under the section's own names, `extra` after `at`.
+        let pair = |p: &PairTiming, [a, b, ratio]: [&str; 3], at: usize, extra: Vec<_>| {
+            let mut fields: Vec<(String, Json)> = vec![
+                ("scheme".into(), Json::str(p.label)),
+                (a.into(), secs3(p.a_secs)),
+                (b.into(), secs3(p.b_secs)),
+                (ratio.into(), Json::float_rounded(p.speedup(), 2)),
+            ];
+            fields.splice(at..at, extra);
+            Json::Obj(fields)
+        };
         if let Some(sp) = speedup {
-            let schemes: Vec<Json> = sp
-                .schemes
-                .iter()
-                .map(|s| {
-                    Json::Obj(vec![
-                        ("scheme".into(), Json::str(s.label)),
-                        ("serial_secs".into(), secs3(s.serial_secs)),
-                        ("sharded_secs".into(), secs3(s.sharded_secs)),
-                        (
-                            "speedup".into(),
-                            Json::float_rounded(s.serial_secs / s.sharded_secs.max(1e-12), 2),
-                        ),
-                    ])
-                })
-                .collect();
+            let names = ["serial_secs", "sharded_secs", "speedup"];
+            let schemes = sp.schemes.iter().map(|s| pair(s, names, 1, vec![]));
             fields.push((
                 "sharded_replay".into(),
                 Json::Obj(vec![
@@ -473,27 +420,16 @@ fn emit_timing_summary(
                     ("shards".into(), Json::Int(sp.shards as i64)),
                     ("threads".into(), Json::Int(sp.threads as i64)),
                     ("partition_secs".into(), secs3(sp.partition_secs)),
-                    ("schemes".into(), Json::Arr(schemes)),
+                    ("schemes".into(), Json::Arr(schemes.collect())),
                 ]),
             ));
         }
         if let Some(sr) = snapshot {
-            let schemes: Vec<Json> = sr
-                .schemes
-                .iter()
-                .map(|s| {
-                    Json::Obj(vec![
-                        ("scheme".into(), Json::str(s.label)),
-                        ("cold_secs".into(), secs3(s.cold_secs)),
-                        ("warm_snapshot_secs".into(), secs3(s.warm_snapshot_secs)),
-                        ("restore_secs".into(), secs3(s.restore_secs)),
-                        (
-                            "restore_speedup".into(),
-                            Json::float_rounded(s.cold_secs / s.restore_secs.max(1e-12), 2),
-                        ),
-                    ])
-                })
-                .collect();
+            let names = ["cold_secs", "restore_secs", "restore_speedup"];
+            let schemes = sr.schemes.iter().map(|(s, warm)| {
+                let warm = ("warm_snapshot_secs".into(), secs3(*warm));
+                pair(s, names, 2, vec![warm])
+            });
             fields.push((
                 "snapshot_reuse".into(),
                 Json::Obj(vec![
@@ -504,7 +440,7 @@ fn emit_timing_summary(
                         "warm_fraction".into(),
                         Json::float_rounded(WARMUP_FRACTION, 2),
                     ),
-                    ("schemes".into(), Json::Arr(schemes)),
+                    ("schemes".into(), Json::Arr(schemes.collect())),
                 ]),
             ));
         }
@@ -512,28 +448,18 @@ fn emit_timing_summary(
             let entries: Vec<Json> = sampled
                 .iter()
                 .map(|sf| {
+                    let names = ["exact_secs", "sampled_secs", "speedup"];
                     let schemes: Vec<Json> = sf
                         .schemes
                         .iter()
                         .map(|s| {
-                            Json::Obj(vec![
-                                ("scheme".into(), Json::str(s.label)),
-                                ("exact_mpki".into(), Json::float_rounded(s.exact_mpki, 6)),
-                                (
-                                    "sampled_mpki".into(),
-                                    Json::float_rounded(s.sampled_mpki, 6),
-                                ),
-                                ("rel_error".into(), Json::float_rounded(s.rel_error(), 6)),
-                                ("exact_secs".into(), secs3(s.exact_secs)),
-                                ("sampled_secs".into(), secs3(s.sampled_secs)),
-                                (
-                                    "speedup".into(),
-                                    Json::float_rounded(
-                                        s.exact_secs / s.sampled_secs.max(1e-12),
-                                        2,
-                                    ),
-                                ),
-                            ])
+                            let f6 = |v: f64| Json::float_rounded(v, 6);
+                            let errors = vec![
+                                ("exact_mpki".into(), f6(s.a.mpki)),
+                                ("sampled_mpki".into(), f6(s.b.mpki)),
+                                ("rel_error".into(), f6(s.rel_error())),
+                            ];
+                            pair(s, names, 1, errors)
                         })
                         .collect();
                     Json::Obj(vec![
@@ -832,11 +758,10 @@ fn main() -> ExitCode {
 
     // When STEM_SHARDS asks for intra-trace sharding, partition each
     // sensitivity trace once (`shard_plan_<bench>` cells, counted as the
-    // `shard` stage); every sweep point of that trace shares the plan. The
-    // sweep replays each shard inline (threads = 1 inside the cell — the
-    // pool is already saturated with sweep points), so this changes no
-    // numbers and no stdout byte; schemes that decline sharding take the
-    // serial path inside `assoc_point_auto` regardless.
+    // `shard` stage); every sweep point of that trace is offered the
+    // partition. The sweep replays each shard inline (threads = 1 inside
+    // the cell — the pool is already saturated with sweep points), so
+    // this changes no numbers and no stdout byte.
     let sweep_plans: Vec<Option<Arc<ShardedTrace>>> = if shards > 1 {
         let mut plan_jobs: Vec<(String, Box<dyn FnOnce() -> ShardedTrace + Send>)> = Vec::new();
         let mut plan_keys: Vec<usize> = Vec::new();
@@ -862,17 +787,16 @@ fn main() -> ExitCode {
     };
 
     // Warm-once cells: when STEM_SNAPSHOTS is on, each (benchmark,
-    // scheme) whose scheme opts into checkpoints — and whose base-geometry
-    // points the sharded path does not already own — replays the shared
-    // 20% warm prefix exactly once at the paper geometry and snapshots the
-    // warmed state. The associativity point at the base ways and the
-    // capacity point at the base sets then restore instead of re-warming;
-    // points at any other geometry warm different state and stay cold.
-    // Either path is bit-identical (ci.sh compares STEM_SNAPSHOTS=0 vs 1).
+    // scheme) whose scheme checkpoints replays the shared 20% warm prefix
+    // exactly once at the paper geometry and snapshots the warmed state.
+    // The associativity point at the base ways and the capacity point at
+    // the base sets are then offered the snapshot; points at any other
+    // geometry warm different state and stay cold. Either path is
+    // bit-identical (ci.sh compares STEM_SNAPSHOTS=0 vs 1).
     let snapshot_schemes: Vec<usize> = Scheme::PAPER
         .iter()
         .enumerate()
-        .filter(|&(_, &s)| snapshot_path_applies(s, geom, snapshots_on, shards))
+        .filter(|&(_, &s)| snapshots_on && caps(s, geom).snapshot)
         .map(|(si, _)| si)
         .collect();
     let mut warm_snaps: Vec<Vec<Option<Arc<Snapshot>>>> =
@@ -907,14 +831,32 @@ fn main() -> ExitCode {
     }
 
     // Every (benchmark, scheme, ways) associativity point and every
-    // (benchmark, scheme, sets) capacity point is one cell. Points whose
-    // geometry matches a warm snapshot restore it; the rest replay cold
-    // (sharded when a plan is offered and the scheme opts in).
+    // (benchmark, scheme, sets) capacity point is one cell, offered the
+    // partition and warm snapshot that match its trace and geometry;
+    // `execute` takes the offers the scheme's capabilities allow.
     enum PointKey {
         Assoc(usize, usize, usize),
         Cap(usize, usize, usize),
     }
-    let mut point_jobs: Vec<(String, Box<dyn FnOnce() -> f64 + Send>)> = Vec::new();
+    type PointJob = Box<dyn FnOnce() -> f64 + Send>;
+    let point_job = |scheme: Scheme,
+                     point: CacheGeometry,
+                     source: Arc<DecodedTrace>,
+                     partition: Option<Arc<ShardedTrace>>,
+                     snap: Option<Arc<Snapshot>>|
+     -> PointJob {
+        Box::new(move || {
+            let plan = RunPlan {
+                shards: partition.as_deref(),
+                start: snap.as_deref().map_or(Start::Cold, Start::Restore),
+                ..RunPlan::new(scheme, point, warm_split(source.len(), WARMUP_FRACTION))
+            };
+            execute(&plan, &source)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .mpki
+        })
+    };
+    let mut point_jobs: Vec<(String, PointJob)> = Vec::new();
     let mut point_keys: Vec<PointKey> = Vec::new();
     for (bi, trace) in sweep_traces.iter().enumerate() {
         let Some(trace) = trace else { continue };
@@ -923,24 +865,19 @@ fn main() -> ExitCode {
             sens[bi].name()
         );
         for (si, &scheme) in Scheme::PAPER.iter().enumerate() {
+            let base_snap = || warm_snaps[bi][si].clone();
             for (wi, &w) in ways.iter().enumerate() {
-                let trace = Arc::clone(trace);
-                let plan = sweep_plans[bi].clone();
-                let snap = (w == geom.ways())
-                    .then(|| warm_snaps[bi][si].clone())
-                    .flatten();
+                let point = CacheGeometry::new(geom.sets(), w, geom.line_bytes())
+                    .expect("sweep geometry is valid");
                 point_jobs.push((
                     format!("sweep_{}/{}/{}w", sens[bi].name(), scheme.label(), w),
-                    Box::new(move || match &snap {
-                        Some(s) => replay_from_snapshot_or_cold(
-                            scheme,
-                            geom,
-                            &trace,
-                            Some(s),
-                            WARMUP_FRACTION,
-                        ),
-                        None => assoc_point_auto(scheme, geom, w, &trace, plan.as_deref(), 1),
-                    }),
+                    point_job(
+                        scheme,
+                        point,
+                        Arc::clone(trace),
+                        sweep_plans[bi].clone(),
+                        (w == geom.ways()).then(base_snap).flatten(),
+                    ),
                 ));
                 point_keys.push(PointKey::Assoc(bi, si, wi));
             }
@@ -948,33 +885,18 @@ fn main() -> ExitCode {
                 let Some(source) = cap_decodes[bi][ci].clone() else {
                     continue;
                 };
-                let cap_geom = CacheGeometry::new(sets, geom.ways(), geom.line_bytes())
+                let point = CacheGeometry::new(sets, geom.ways(), geom.line_bytes())
                     .expect("capacity geometry is valid");
-                let plan = (sets == geom.sets())
-                    .then(|| sweep_plans[bi].clone())
-                    .flatten();
-                let snap = (sets == geom.sets())
-                    .then(|| warm_snaps[bi][si].clone())
-                    .flatten();
+                let base = sets == geom.sets();
                 point_jobs.push((
                     format!("sweep_cap_{}/{}/{}s", sens[bi].name(), scheme.label(), sets),
-                    Box::new(move || match &snap {
-                        Some(s) => replay_from_snapshot_or_cold(
-                            scheme,
-                            cap_geom,
-                            &source,
-                            Some(s),
-                            WARMUP_FRACTION,
-                        ),
-                        None => replay_warmed_auto(
-                            scheme,
-                            cap_geom,
-                            &source,
-                            plan.as_deref(),
-                            WARMUP_FRACTION,
-                            1,
-                        ),
-                    }),
+                    point_job(
+                        scheme,
+                        point,
+                        source,
+                        base.then(|| sweep_plans[bi].clone()).flatten(),
+                        base.then(base_snap).flatten(),
+                    ),
                 ));
                 point_keys.push(PointKey::Cap(bi, si, ci));
             }
@@ -1220,7 +1142,7 @@ fn main() -> ExitCode {
     // STEM_FIDELITY=sampled; stdout stays byte-identical to the exact
     // archive — the record lands on stderr and in BENCH_run_all.json.
     let mut sampled_records = Vec::new();
-    if cfg.fidelity() == Fidelity::Sampled {
+    if cfg.fidelity() == stem_bench::config::Fidelity::Sampled {
         let (rate, seed) = (cfg.sample_rate(), cfg.sample_seed());
         for (bi, trace) in sweep_traces.iter().enumerate() {
             let Some(trace) = trace else { continue };

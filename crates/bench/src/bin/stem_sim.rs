@@ -14,9 +14,9 @@
 
 use std::process::ExitCode;
 
-use stem_analysis::{build_cache, run_system, Scheme};
+use stem_analysis::{execute, warm_split, RunPlan, Scheme, Target};
 use stem_hierarchy::SystemConfig;
-use stem_sim_core::{io as trace_io, CacheGeometry, Trace};
+use stem_sim_core::{io as trace_io, CacheGeometry, DecodedTrace, Trace};
 use stem_workloads::{spec2010_suite, BenchmarkProfile};
 
 #[derive(Debug)]
@@ -167,30 +167,17 @@ fn main() -> ExitCode {
         trace.len()
     );
 
-    if args.bare {
-        let mut cache = build_cache(args.scheme, geom);
-        let warm_len = (trace.len() as f64 * args.warmup.clamp(0.0, 0.9)) as usize;
-        let mut instructions = 0u64;
-        for (i, a) in trace.iter().enumerate() {
-            if i == warm_len {
-                cache.reset_stats();
-            }
-            if i >= warm_len {
-                instructions += u64::from(a.inst_gap);
-            }
-            cache.access(a.addr, a.kind);
-        }
-        let s = cache.stats();
-        println!("bare LLC: {s}");
-        println!("MPKI {:.3}", s.mpki(instructions.max(1)));
-    } else {
-        let m = run_system(
-            args.scheme,
-            geom,
-            SystemConfig::micro2010(),
-            &trace,
-            args.warmup,
-        );
+    let plan = RunPlan {
+        target: if args.bare {
+            Target::Llc
+        } else {
+            Target::System(SystemConfig::micro2010())
+        },
+        ..RunPlan::new(args.scheme, geom, warm_split(trace.len(), args.warmup))
+    };
+    let report =
+        execute(&plan, &DecodedTrace::decode(&trace, geom)).expect("a cold exact plan always runs");
+    if let Some(m) = report.system {
         println!("{m}");
         println!(
             "cooperation: {} couplings / {} spills / {} coop hits; {} policy swaps",
@@ -199,6 +186,9 @@ fn main() -> ExitCode {
             m.l2.coop_hits(),
             m.l2.policy_swaps()
         );
+    } else {
+        println!("bare LLC: {}", report.stats);
+        println!("MPKI {:.3}", report.mpki);
     }
     ExitCode::SUCCESS
 }

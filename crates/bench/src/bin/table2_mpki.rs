@@ -3,9 +3,8 @@
 //!
 //! Run with `cargo run --release -p stem-bench --bin table2_mpki`.
 
-use stem_analysis::{run_system_decoded, Scheme, Table};
-use stem_bench::harness::{accesses_per_benchmark, prepare_trace, WARMUP_FRACTION};
-use stem_hierarchy::SystemConfig;
+use stem_analysis::{Scheme, Table};
+use stem_bench::harness::{accesses_per_benchmark, prepare_trace, system_cell};
 use stem_sim_core::CacheGeometry;
 use stem_workloads::spec2010_suite;
 
@@ -33,7 +32,6 @@ fn paper_mpki(name: &str) -> f64 {
 
 fn main() {
     let geom = CacheGeometry::micro2010_l2();
-    let cfg = SystemConfig::micro2010();
     let accesses = accesses_per_benchmark();
     eprintln!("Table 2: LRU MPKI characteristics, {accesses} accesses per benchmark");
 
@@ -45,7 +43,7 @@ fn main() {
     ]);
     for bench in spec2010_suite() {
         let trace = prepare_trace(&bench, geom, accesses).trace;
-        let m = run_system_decoded(Scheme::Lru, geom, cfg, &trace, WARMUP_FRACTION);
+        let m = system_cell(Scheme::Lru, geom, &trace);
         table.row(vec![
             bench.name().into(),
             bench.class().to_string(),

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stem_analysis::{geomean, run_system_decoded, Scheme, SystemMetrics, Table};
+use stem_analysis::{execute, geomean, warm_split, RunPlan, Scheme, SystemMetrics, Table, Target};
 use stem_hierarchy::SystemConfig;
 use stem_sim_core::{CacheGeometry, DecodedTrace, Trace};
 use stem_workloads::{spec2010_suite, BenchmarkProfile};
@@ -114,6 +114,19 @@ pub fn prepare_trace_retaining_raw(
     }
 }
 
+/// One Fig. 7/8/9 cell: `scheme` as the LLC of the paper's Table 1
+/// system, replaying `trace` after the standard warm-up.
+pub fn system_cell(scheme: Scheme, geom: CacheGeometry, trace: &DecodedTrace) -> SystemMetrics {
+    let plan = RunPlan {
+        target: Target::System(SystemConfig::micro2010()),
+        ..RunPlan::new(scheme, geom, warm_split(trace.len(), WARMUP_FRACTION))
+    };
+    execute(&plan, trace)
+        .ok()
+        .and_then(|report| report.system)
+        .expect("a cold exact system plan always runs")
+}
+
 /// One benchmark row of the Fig. 7/8/9 matrix: metrics for every paper
 /// scheme, normalized to LRU.
 #[derive(Debug, Clone)]
@@ -175,7 +188,6 @@ pub fn run_benchmark_matrix_isolated(
     threads: usize,
     prep: &mut PrepTimings,
 ) -> Vec<BenchmarkRow> {
-    let cfg = SystemConfig::micro2010();
     let suite = spec2010_suite();
 
     // Stage 1: generate and decode each benchmark's trace once; all six
@@ -210,7 +222,7 @@ pub fn run_benchmark_matrix_isolated(
             let trace = Arc::clone(trace);
             cell_jobs.push((
                 format!("matrix/{}/{}", suite[bi].name(), scheme.label()),
-                Box::new(move || run_system_decoded(scheme, geom, cfg, &trace, WARMUP_FRACTION)),
+                Box::new(move || system_cell(scheme, geom, &trace)),
             ));
             cell_keys.push((bi, si));
         }

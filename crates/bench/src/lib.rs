@@ -14,6 +14,4 @@ pub mod faults;
 pub mod harness;
 pub mod pool;
 pub mod resilience;
-pub mod shard;
-pub mod snapshot;
 pub mod timing;

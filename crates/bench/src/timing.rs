@@ -7,12 +7,8 @@
 
 use std::time::{Duration, Instant};
 
-/// Times one invocation of `f`.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t0 = Instant::now();
-    let value = f();
-    (value, t0.elapsed())
-}
+use stem_analysis::{execute, RunPlan, RunReport};
+use stem_sim_core::DecodedTrace;
 
 /// Runs `f` once for warm-up, then `reps` measured times, returning the
 /// minimum duration. The warm-up result is discarded; every measured
@@ -55,6 +51,30 @@ pub fn best_of_paired<T, U>(
     (best_a, best_b)
 }
 
+/// Races two plans over the same trace with [`best_of_paired`] and
+/// returns each plan's report alongside its best wall clock in seconds.
+///
+/// # Panics
+///
+/// Panics if either plan fails to execute (the measurement stages only
+/// race plans their schemes are eligible for).
+pub fn race_plans(
+    reps: usize,
+    trace: &DecodedTrace,
+    a: &RunPlan<'_>,
+    b: &RunPlan<'_>,
+) -> [(RunReport, f64); 2] {
+    let run = |plan: &RunPlan<'_>| {
+        execute(plan, trace).unwrap_or_else(|e| panic!("{}: {e}", plan.scheme))
+    };
+    let (mut ra, mut rb) = (None, None);
+    let (da, db) = best_of_paired(reps, || ra = Some(run(a)), || rb = Some(run(b)));
+    [
+        (ra.expect("raced at least once"), da.as_secs_f64()),
+        (rb.expect("raced at least once"), db.as_secs_f64()),
+    ]
+}
+
 /// Formats an element-throughput line: `label: N elems in D (R Melem/s)`.
 pub fn throughput_line(label: &str, elements: u64, d: Duration) -> String {
     let secs = d.as_secs_f64().max(1e-12);
@@ -68,13 +88,6 @@ pub fn throughput_line(label: &str, elements: u64, d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_once_returns_value() {
-        let (v, d) = time_once(|| 41 + 1);
-        assert_eq!(v, 42);
-        assert!(d < Duration::from_secs(5));
-    }
 
     #[test]
     fn best_of_is_finite() {

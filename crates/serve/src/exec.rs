@@ -5,9 +5,10 @@
 //! `Fn(&RunRequest) -> Result<Json, SimError>` — so tests can substitute
 //! a blocking or instant executor to exercise backpressure and caching
 //! without running simulations. [`simulation_executor`] is the real one:
-//! decode-once trace preparation ([`prepare_trace`]), the full system
-//! model ([`run_system_decoded`] at the paper's Table 1 configuration),
-//! and optionally the §3.1 capacity-demand profile.
+//! decode-once trace preparation ([`prepare_trace`]), one
+//! [`execute`]d [`RunPlan`] (the full system model at the paper's Table 1
+//! configuration, or the sampled bare LLC), and optionally the §3.1
+//! capacity-demand profile.
 //!
 //! Determinism contract: for a given request the returned JSON — and
 //! therefore the serialized response body — is byte-identical across
@@ -21,12 +22,12 @@ use std::time::{Duration, Instant};
 use std::path::{Path, PathBuf};
 
 use stem_analysis::{
-    build_cache, replay_sample_warmed, run_mix_decoded, run_system_decoded, sampled_mpki,
-    warm_split, CapacityDemandProfiler, MixOutcome,
+    build_cache, execute, run_mix_decoded, warm_split, CapacityDemandProfiler, MixOutcome, RunPlan,
+    Start, Target,
 };
 use stem_bench::config::Fidelity;
 use stem_bench::harness::prepare_trace;
-use stem_hierarchy::{System, SystemConfig, SystemMetrics};
+use stem_hierarchy::{System, SystemConfig, SystemMetrics, SystemSnapshot};
 use stem_sim_core::{CacheGeometry, DecodedTrace, Json, SampledTrace, ShardedTrace, SimError};
 use stem_workloads::{offset_trace_into_region, pro_rata_shares, BenchmarkProfile};
 
@@ -114,73 +115,80 @@ pub fn simulation_executor_with(snapshot_slots: usize, metrics: Arc<Metrics>) ->
         return simulation_executor();
     }
     let store = Arc::new(Mutex::new(SnapshotCache::new(snapshot_slots)));
-    Arc::new(move |req| run_simulation_snapshotting(req, &store, &metrics))
+    Arc::new(move |req| run_simulation_inner(req, Some((&store, &metrics))))
 }
 
-/// [`run_simulation`] with warm-prefix reuse on the exact path. The
-/// sampled tier never consults the store (it replays a bare LLC, not the
-/// hierarchy the snapshots capture).
-fn run_simulation_snapshotting(
-    req: &RunRequest,
-    store: &Mutex<SnapshotCache>,
-    metrics: &Metrics,
-) -> Result<Json, SimError> {
-    run_simulation_inner(req, Some((store, metrics)))
-}
-
-/// The exact-path metrics replay, warm prefix restored from the snapshot
-/// store when possible.
-///
-/// The protocol mirrors the sweep drivers': warm → `reset_stats` →
-/// `snapshot` (so cached snapshots carry zeroed counters) → measure; a
-/// hit restores and goes straight to measuring. A scheme whose LLC
-/// declines the capability (STEM's shadow-tag and SCDM state) simply
-/// never yields a snapshot — every such run replays cold and counts a
-/// miss, with bit-identical results.
-fn exact_metrics_snapshotting(
+/// The exact-path metrics replay, offered the request's warm prefix from
+/// the snapshot store when there is one.
+fn exact_metrics(
     req: &RunRequest,
     geom: CacheGeometry,
     trace: &DecodedTrace,
+    snapshots: Option<(&Mutex<SnapshotCache>, &Metrics)>,
+) -> SystemMetrics {
+    let cfg = SystemConfig::micro2010();
+    let warm_len = warm_split(trace.len(), req.warmup_fraction);
+    let snap = snapshots.and_then(|(store, metrics)| {
+        warm_snapshot(req, cfg, geom, trace, warm_len, store, metrics)
+    });
+    let plan = RunPlan {
+        target: Target::System(cfg),
+        start: snap.as_deref().map_or(Start::Cold, Start::RestoreSystem),
+        ..RunPlan::new(req.scheme, geom, warm_len)
+    };
+    // The canonical comparison in the store pins benchmark, scheme,
+    // geometry, length, and warm-up; the system config is the executor's
+    // constant. A failure here is a wiring bug and must fail loudly (the
+    // runner's panic isolation turns it into a 500, never silently-wrong
+    // bytes).
+    execute(&plan, trace)
+        .expect("cached snapshot restores into its own warm prefix")
+        .system
+        .expect("system target")
+}
+
+/// The request's warm checkpoint: a store hit, or on a miss the warm
+/// prefix replayed once, counters reset (so cached snapshots carry zeroed
+/// counters) and checkpointed into the store. A scheme whose LLC declines
+/// the capability (STEM's shadow-tag and SCDM state) never yields a
+/// snapshot — every such run replays cold and counts a miss, with
+/// bit-identical results.
+fn warm_snapshot(
+    req: &RunRequest,
+    cfg: SystemConfig,
+    geom: CacheGeometry,
+    trace: &DecodedTrace,
+    warm_len: usize,
     store: &Mutex<SnapshotCache>,
     metrics: &Metrics,
-) -> SystemMetrics {
-    let warm_len = warm_split(trace.len(), req.warmup_fraction);
+) -> Option<Arc<SystemSnapshot>> {
     let key = req.snapshot_key();
     let canonical = req.warm_prefix_canonical().to_string();
-    let mut system = System::new(SystemConfig::micro2010(), build_cache(req.scheme, geom));
     let cached = store
         .lock()
         .expect("snapshot cache lock")
         .get(key, &canonical);
-    match cached {
-        Some(snap) => {
-            metrics.snapshot_hit();
-            // The canonical comparison in `get` pins benchmark, scheme,
-            // geometry, length, and warm-up; the system config is the
-            // executor's constant. A failure here is a wiring bug and
-            // must fail loudly (the runner's panic isolation turns it
-            // into a 500, never silently-wrong bytes).
-            system
-                .restore(&snap)
-                .expect("cached snapshot restores into its own warm prefix");
-        }
-        None => {
-            metrics.snapshot_miss();
-            system.warm_decoded(trace, warm_len);
-            system.reset_stats();
-            if let Some(snap) = system.snapshot() {
-                let evicted = store.lock().expect("snapshot cache lock").insert(
-                    key,
-                    canonical,
-                    Arc::new(snap),
-                );
-                if evicted.is_some() {
-                    metrics.snapshot_evicted();
-                }
-            }
-        }
+    if cached.is_some() {
+        metrics.snapshot_hit();
+        return cached;
     }
-    system.run_decoded_range(trace, warm_len..trace.len())
+    metrics.snapshot_miss();
+    let mut system = System::new(cfg, build_cache(req.scheme, geom));
+    if !system.supports_snapshot() {
+        return None;
+    }
+    system.warm_decoded(trace, warm_len);
+    system.reset_stats();
+    let snap = Arc::new(system.snapshot()?);
+    let evicted =
+        store
+            .lock()
+            .expect("snapshot cache lock")
+            .insert(key, canonical, Arc::clone(&snap));
+    if evicted.is_some() {
+        metrics.snapshot_evicted();
+    }
+    Some(snap)
 }
 
 /// Runs one experiment end to end.
@@ -194,6 +202,8 @@ pub fn run_simulation(req: &RunRequest) -> Result<Json, SimError> {
     run_simulation_inner(req, None)
 }
 
+/// [`run_simulation`], with warm-prefix reuse on the exact path when a
+/// snapshot store is given (the sampled tier and mixes never consult it).
 fn run_simulation_inner(
     req: &RunRequest,
     snapshots: Option<(&Mutex<SnapshotCache>, &Metrics)>,
@@ -212,16 +222,7 @@ fn run_simulation_inner(
     if req.fidelity == Fidelity::Sampled {
         return run_sampled(req, geom, &prepared.trace);
     }
-    let metrics = match snapshots {
-        Some((store, m)) => exact_metrics_snapshotting(req, geom, &prepared.trace, store, m),
-        None => run_system_decoded(
-            req.scheme,
-            geom,
-            SystemConfig::micro2010(),
-            &prepared.trace,
-            req.warmup_fraction,
-        ),
-    };
+    let metrics = exact_metrics(req, geom, &prepared.trace, snapshots);
 
     let mut fields = vec![("metrics".to_owned(), metrics_json(&metrics))];
     if req.profile {
@@ -392,14 +393,20 @@ fn run_sampled(
     source: &DecodedTrace,
 ) -> Result<Json, SimError> {
     let sample = SampledTrace::select(source, req.sample_rate, req.sample_seed);
-    let warm_len = warm_split(source.len(), req.warmup_fraction);
-    let stats = replay_sample_warmed(req.scheme, geom, &sample, warm_len);
-    let mpki = sampled_mpki(&stats, &sample, source, warm_len);
-    let scale = sample.scale_factor();
+    let plan = RunPlan {
+        fidelity: stem_analysis::Fidelity::Sampled(&sample),
+        ..RunPlan::new(
+            req.scheme,
+            geom,
+            warm_split(source.len(), req.warmup_fraction),
+        )
+    };
+    let report = execute(&plan, source).map_err(|e| SimError::config("serve", e.to_string()))?;
+    let (stats, scale) = (report.stats, report.scale);
     Ok(Json::Obj(vec![(
         "sampled_metrics".to_owned(),
         Json::Obj(vec![
-            ("mpki".to_owned(), Json::float_rounded(mpki, 6)),
+            ("mpki".to_owned(), Json::float_rounded(report.mpki, 6)),
             (
                 "estimated_misses".to_owned(),
                 Json::float_rounded(stats.misses() as f64 * scale, 3),
@@ -605,8 +612,8 @@ mod tests {
         let store = Mutex::new(SnapshotCache::new(4));
         let req = tiny_request(false);
         let cold = run_simulation(&req).expect("cold run");
-        let miss = run_simulation_snapshotting(&req, &store, &metrics).expect("miss run");
-        let hit = run_simulation_snapshotting(&req, &store, &metrics).expect("hit run");
+        let miss = run_simulation_inner(&req, Some((&store, &metrics))).expect("miss run");
+        let hit = run_simulation_inner(&req, Some((&store, &metrics))).expect("hit run");
         assert_eq!(cold.to_string(), miss.to_string());
         assert_eq!(cold.to_string(), hit.to_string());
         assert_eq!((metrics.snapshot_misses(), metrics.snapshot_hits()), (1, 1));
@@ -615,7 +622,7 @@ mod tests {
         // A profile variant shares the warm prefix: snapshot hit, but a
         // different (larger) response body.
         let with_profile = tiny_request(true);
-        let out = run_simulation_snapshotting(&with_profile, &store, &metrics).expect("run");
+        let out = run_simulation_inner(&with_profile, Some((&store, &metrics))).expect("run");
         assert_eq!(metrics.snapshot_hits(), 2);
         assert!(out.get("capacity_profile").is_some());
         assert_eq!(
@@ -635,7 +642,7 @@ mod tests {
         .expect("valid request");
         let cold = run_simulation(&req).expect("cold run");
         for _ in 0..2 {
-            let out = run_simulation_snapshotting(&req, &store, &metrics).expect("run");
+            let out = run_simulation_inner(&req, Some((&store, &metrics))).expect("run");
             assert_eq!(cold.to_string(), out.to_string());
         }
         assert!(

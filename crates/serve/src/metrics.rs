@@ -90,13 +90,21 @@ impl Metrics {
         self.latency_count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A job entered the bounded queue.
+    /// A job is about to enter the bounded queue (counted before the
+    /// send, so the executor's [`job_started`](Metrics::job_started) can
+    /// never run ahead of it).
     pub fn job_enqueued(&self) {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The executor picked a job up.
     pub fn job_started(&self) {
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// A job counted by [`job_enqueued`](Metrics::job_enqueued) never
+    /// made it into the queue (full or closed).
+    pub fn job_withdrawn(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 

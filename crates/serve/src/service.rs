@@ -373,6 +373,17 @@ fn error_body(detail: &str) -> Vec<u8> {
         .into_bytes()
 }
 
+/// Counts a job into the queue-depth gauge, then hands it to `send` (the
+/// bounded queue's `try_send`), rolling the count back if the queue
+/// refuses it. The count must come first: once sent, the executor may
+/// dequeue the job and decrement the gauge before this thread runs again,
+/// and a decrement ahead of its increment wraps the gauge (and the
+/// `Retry-After` derived from it) past `u64::MAX`.
+fn enqueue_counted<E>(metrics: &Metrics, send: impl FnOnce() -> Result<(), E>) -> Result<(), E> {
+    metrics.job_enqueued();
+    send().inspect_err(|_| metrics.job_withdrawn())
+}
+
 /// The deterministic `Retry-After` value (whole seconds) for shed work:
 /// one second of patience per queued job, plus one, capped at a minute.
 /// Derived only from the queue-depth gauge, so identical load states
@@ -550,8 +561,15 @@ fn handle_run(body: &[u8], shared: &Arc<Shared>) -> Routed {
     let Some(sender) = sender else {
         return Routed::json("run", 503, error_body("service is shutting down"));
     };
-    match sender.try_send(job) {
-        Ok(()) => shared.metrics.job_enqueued(),
+    // The refused job is dropped with its reply channel: nobody waits on it.
+    let send = || {
+        sender.try_send(job).map_err(|e| match e {
+            TrySendError::Full(_) => TrySendError::Full(()),
+            TrySendError::Disconnected(_) => TrySendError::Disconnected(()),
+        })
+    };
+    match enqueue_counted(&shared.metrics, send) {
+        Ok(()) => {}
         Err(TrySendError::Full(_)) => {
             shared.metrics.rejected();
             return shed_response(
@@ -578,5 +596,28 @@ fn handle_run(body: &[u8], shared: &Arc<Shared>) -> Routed {
                 shared,
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_job_dequeued_before_its_handler_resumes_never_wraps_the_gauge() {
+        let metrics = Metrics::new();
+        // The executor wins the race: it dequeues and starts the job the
+        // instant it lands in the queue, before the handler's next
+        // instruction. The gauge must read 0 then, not u64::MAX.
+        enqueue_counted(&metrics, || {
+            metrics.job_started();
+            assert_eq!(metrics.queue_depth(), 0, "gauge wrapped mid-enqueue");
+            Ok::<(), ()>(())
+        })
+        .expect("sent");
+        assert_eq!(metrics.queue_depth(), 0);
+        // A refused job rolls its count back.
+        enqueue_counted(&metrics, || Err(())).expect_err("refused");
+        assert_eq!(metrics.queue_depth(), 0);
     }
 }

@@ -8,9 +8,9 @@
 //! Defaults to `ammp` with 500k accesses. Valid benchmark names are the 15
 //! of Table 2 (`stem::workloads::spec2010_suite`).
 
-use stem::analysis::{run_system, Scheme, Table};
+use stem::analysis::{execute, warm_split, RunPlan, Scheme, SystemMetrics, Table, Target};
 use stem::hierarchy::SystemConfig;
-use stem::sim_core::CacheGeometry;
+use stem::sim_core::{CacheGeometry, DecodedTrace};
 use stem::workloads::BenchmarkProfile;
 
 fn main() {
@@ -24,8 +24,17 @@ fn main() {
     };
 
     let geom = CacheGeometry::micro2010_l2();
-    let trace = bench.trace(geom, accesses);
-    let cfg = SystemConfig::micro2010();
+    let trace = DecodedTrace::decode(&bench.trace(geom, accesses), geom);
+    let run = |scheme| -> SystemMetrics {
+        let plan = RunPlan {
+            target: Target::System(SystemConfig::micro2010()),
+            ..RunPlan::new(scheme, geom, warm_split(trace.len(), 0.2))
+        };
+        execute(&plan, &trace)
+            .ok()
+            .and_then(|report| report.system)
+            .expect("a cold exact system plan always runs")
+    };
 
     println!(
         "{} ({}) — {} accesses, 2MB 16-way L2\n",
@@ -40,9 +49,9 @@ fn main() {
         "CPI".into(),
         "norm MPKI".into(),
     ]);
-    let lru = run_system(Scheme::Lru, geom, cfg, &trace, 0.2);
+    let lru = run(Scheme::Lru);
     for scheme in Scheme::PAPER {
-        let m = run_system(scheme, geom, cfg, &trace, 0.2);
+        let m = run(scheme);
         let (nm, _, _) = m.normalized_to(&lru);
         t.row(vec![
             scheme.label().into(),

@@ -1,9 +1,18 @@
 //! Integration tests of the workload-class claims (Fig. 6 / §5.2): each
 //! class rewards the management dimension the paper says it should.
 
-use stem::analysis::{run_scheme_warmed, Scheme};
-use stem::sim_core::CacheGeometry;
+use stem::analysis::{execute, warm_split, RunPlan, Scheme};
+use stem::sim_core::{CacheGeometry, DecodedTrace, Trace};
 use stem::workloads::BenchmarkProfile;
+
+/// Bare-LLC MPKI of `scheme` over `trace` after replaying its first
+/// `warmup_fraction` unmeasured.
+fn warmed_mpki(scheme: Scheme, geom: CacheGeometry, trace: &Trace, warmup_fraction: f64) -> f64 {
+    let plan = RunPlan::new(scheme, geom, warm_split(trace.len(), warmup_fraction));
+    execute(&plan, &DecodedTrace::decode(trace, geom))
+        .expect("cold exact plan")
+        .mpki
+}
 
 const ACCESSES: usize = 400_000;
 
@@ -11,7 +20,7 @@ fn mpki(scheme: Scheme, bench: &str, geom: CacheGeometry) -> f64 {
     let trace = BenchmarkProfile::by_name(bench)
         .expect("suite benchmark")
         .trace(geom, ACCESSES);
-    run_scheme_warmed(scheme, geom, &trace, 0.2)
+    warmed_mpki(scheme, geom, &trace, 0.2)
 }
 
 /// Class II (poor temporal locality): DIP beats LRU; the spatial schemes
@@ -101,8 +110,8 @@ fn ammp_spatial_gain_grows_at_low_associativity() {
         .unwrap()
         .trace(geom16, ACCESSES);
     let gain = |geom| {
-        let lru = run_scheme_warmed(Scheme::Lru, geom, &trace, 0.2);
-        let stem = run_scheme_warmed(Scheme::Stem, geom, &trace, 0.2);
+        let lru = warmed_mpki(Scheme::Lru, geom, &trace, 0.2);
+        let stem = warmed_mpki(Scheme::Stem, geom, &trace, 0.2);
         lru / stem
     };
     let gain8 = gain(geom8);

@@ -1736,9 +1736,8 @@ fn replay_decoded_falls_back_on_incompatible_geometry() {
 // SplitMix64 synthetic streams the backend differentials use.
 
 use stem::analysis::{
-    build_cache, run_scheme_from_snapshot, run_scheme_warmed_decoded, run_scheme_warmed_sampled,
-    scheme_supports_set_sampling, scheme_supports_set_sharding, scheme_supports_snapshot,
-    warm_scheme_snapshot, warm_split, Scheme,
+    build_cache, caps, execute, warm_scheme_snapshot, warm_split, Fidelity, Route, RunPlan,
+    RunReport, Scheme, Start,
 };
 use stem::sim_core::{SampledTrace, ShardedTrace, SnapshotError};
 
@@ -1755,6 +1754,11 @@ fn synth_decoded(geom: CacheGeometry, seed: u64, accesses: usize) -> DecodedTrac
         })
         .collect();
     DecodedTrace::decode(&trace, geom)
+}
+
+/// Executes `plan` over `trace`, which every plan below is eligible for.
+fn run(plan: &RunPlan<'_>, trace: &DecodedTrace) -> RunReport {
+    execute(plan, trace).unwrap_or_else(|e| panic!("{}: {e}", plan.scheme))
 }
 
 /// Replays every shard of `plan` through a fresh full-geometry cache and
@@ -1774,18 +1778,40 @@ fn sharded_stats(scheme: Scheme, geom: CacheGeometry, plan: &ShardedTrace) -> Ca
 fn sharded_replay_matches_serial_for_every_shardable_scheme() {
     let geom = paper_geom();
     let decoded = synth_decoded(geom, 0x5AAD_0001, diff_accesses());
+    let warm_len = warm_split(decoded.len(), 0.2);
     for scheme in Scheme::ALL {
-        if !scheme_supports_set_sharding(scheme, geom) {
+        if !caps(scheme, geom).set_sharding {
             continue;
         }
         let mut serial = build_cache(scheme, geom);
         serial.run_decoded(&decoded);
+        let exact = run(&RunPlan::new(scheme, geom, warm_len), &decoded);
         for shards in [1usize, 2, 4, 7] {
             let plan = ShardedTrace::partition(&decoded, shards);
             assert_eq!(
                 *serial.stats(),
                 sharded_stats(scheme, geom, &plan),
                 "{scheme}: sharded CacheStats diverged from serial at {shards} shards"
+            );
+            // The executor's sharded route, warm boundary and thread
+            // fan-out included, must agree bit for bit as well.
+            let offered = RunPlan {
+                shards: Some(&plan),
+                threads: 3,
+                ..RunPlan::new(scheme, geom, warm_len)
+            };
+            let sharded = run(&offered, &decoded);
+            let route = if shards > 1 {
+                Route::Sharded
+            } else {
+                Route::Serial
+            };
+            assert_eq!(sharded.route, route, "{scheme} at {shards} shards");
+            assert_eq!(exact.stats, sharded.stats, "{scheme} at {shards} shards");
+            assert_eq!(
+                exact.mpki.to_bits(),
+                sharded.mpki.to_bits(),
+                "{scheme}: executed sharded MPKI diverged at {shards} shards"
             );
         }
     }
@@ -1804,7 +1830,7 @@ fn surplus_shards_stay_empty_and_preserve_stats() {
         "expected surplus empty shards when shards exceed pair domains"
     );
     for scheme in Scheme::ALL {
-        if !scheme_supports_set_sharding(scheme, geom) {
+        if !caps(scheme, geom).set_sharding {
             continue;
         }
         let mut serial = build_cache(scheme, geom);
@@ -1813,6 +1839,18 @@ fn surplus_shards_stay_empty_and_preserve_stats() {
             *serial.stats(),
             sharded_stats(scheme, geom, &plan),
             "{scheme}: shards > domains diverged from serial"
+        );
+        let offered = RunPlan {
+            shards: Some(&plan),
+            threads: 4,
+            ..RunPlan::new(scheme, geom, 0)
+        };
+        let executed = run(&offered, &decoded);
+        assert_eq!(executed.route, Route::Sharded);
+        assert_eq!(
+            *serial.stats(),
+            executed.stats,
+            "{scheme}: executed surplus shards"
         );
     }
 }
@@ -1872,7 +1910,7 @@ fn restored_replay_matches_cold_for_every_snapshottable_scheme() {
     let warm_len = warm_split(decoded.len(), 0.2);
     let mut covered = 0;
     for scheme in Scheme::ALL {
-        if !scheme_supports_snapshot(scheme, geom) {
+        if !caps(scheme, geom).snapshot {
             continue;
         }
         covered += 1;
@@ -1916,7 +1954,7 @@ fn refusing_schemes_decline_loudly_at_the_model_and_run_cold_at_dispatch() {
         .expect("LRU opts into snapshots");
     let mut refused = 0;
     for scheme in Scheme::ALL {
-        if scheme_supports_snapshot(scheme, geom) {
+        if caps(scheme, geom).snapshot {
             continue;
         }
         refused += 1;
@@ -1934,9 +1972,18 @@ fn refusing_schemes_decline_loudly_at_the_model_and_run_cold_at_dispatch() {
             other => panic!("{scheme}: expected a named refusal, got {other:?}"),
         }
         // The dispatch layer declines silently: no snapshot is produced,
-        // so every consumer takes the cold path — whose result is the
-        // plain warmed replay, untouched by the feature existing.
+        // and an offered donor is declined, so every consumer takes the
+        // cold path — whose result is the plain warmed replay, untouched
+        // by the feature existing.
         assert!(warm_scheme_snapshot(scheme, geom, &decoded, warm_len).is_none());
+        let cold = run(&RunPlan::new(scheme, geom, warm_len), &decoded);
+        let offered = RunPlan {
+            start: Start::Restore(&donor),
+            ..RunPlan::new(scheme, geom, warm_len)
+        };
+        let declined = run(&offered, &decoded);
+        assert_eq!(declined.route, Route::Serial, "{scheme}");
+        assert_eq!(cold.mpki.to_bits(), declined.mpki.to_bits(), "{scheme}");
     }
     assert_eq!(refused, 3, "the refusal surface is V-Way, SBC and STEM");
 }
@@ -1951,7 +1998,7 @@ fn snapshot_of_restored_state_round_trips() {
     let decoded = synth_decoded(geom, 0x5A4B_0003, diff_accesses() / 20);
     let warm_len = warm_split(decoded.len(), 0.2);
     for scheme in Scheme::ALL {
-        if !scheme_supports_snapshot(scheme, geom) {
+        if !caps(scheme, geom).snapshot {
             continue;
         }
         let first =
@@ -1964,11 +2011,15 @@ fn snapshot_of_restored_state_round_trips() {
         assert_eq!(first.scheme(), second.scheme());
         assert_eq!(first.geometry(), second.geometry());
         assert_eq!(first.stats(), second.stats());
-        let a = run_scheme_from_snapshot(scheme, geom, &decoded, &first, warm_len)
-            .expect("first restores");
-        let b = run_scheme_from_snapshot(scheme, geom, &decoded, &second, warm_len)
-            .expect("second restores");
-        let cold = run_scheme_warmed_decoded(scheme, geom, &decoded, 0.2);
+        let restore = |snap| RunPlan {
+            start: Start::Restore(snap),
+            ..RunPlan::new(scheme, geom, warm_len)
+        };
+        let a = run(&restore(&first), &decoded);
+        let b = run(&restore(&second), &decoded);
+        assert_eq!((a.route, b.route), (Route::Restored, Route::Restored));
+        let (a, b) = (a.mpki, b.mpki);
+        let cold = run(&RunPlan::new(scheme, geom, warm_len), &decoded).mpki;
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
@@ -2033,14 +2084,25 @@ fn full_rate_sample_replays_exactly_for_every_sampling_scheme() {
     let decoded = synth_decoded(geom, 0x5A3D_0003, diff_accesses() / 10);
     let sample = SampledTrace::select(&decoded, 1, 0xFACE);
     assert_eq!(sample.scale_factor().to_bits(), 1.0f64.to_bits());
+    let warm_len = warm_split(decoded.len(), 0.2);
     let mut covered = 0;
     for scheme in Scheme::ALL {
-        if !scheme_supports_set_sampling(scheme, geom) {
+        if !caps(scheme, geom).set_sampling {
             continue;
         }
         covered += 1;
-        let exact = run_scheme_warmed_decoded(scheme, geom, &decoded, 0.2);
-        let sampled = run_scheme_warmed_sampled(scheme, geom, &decoded, &sample, 0.2);
+        let exact = run(&RunPlan::new(scheme, geom, warm_len), &decoded);
+        let offered = RunPlan {
+            fidelity: Fidelity::Sampled(&sample),
+            ..RunPlan::new(scheme, geom, warm_len)
+        };
+        let sampled = run(&offered, &decoded);
+        assert_eq!(sampled.route, Route::Sampled, "{scheme}");
+        assert_eq!(
+            exact.stats, sampled.stats,
+            "{scheme}: full-rate sample counters"
+        );
+        let (exact, sampled) = (exact.mpki, sampled.mpki);
         assert_eq!(
             exact.to_bits(),
             sampled.to_bits(),
@@ -2059,8 +2121,8 @@ fn sampling_capability_is_a_subset_of_sharding_plus_dip() {
     // the two capability surfaces is a bug in a scheme's declaration.
     let geom = paper_geom();
     for scheme in Scheme::ALL {
-        let shards = scheme_supports_set_sharding(scheme, geom);
-        let samples = scheme_supports_set_sampling(scheme, geom);
+        let caps = caps(scheme, geom);
+        let (shards, samples) = (caps.set_sharding, caps.set_sampling);
         if samples && !shards {
             assert_eq!(
                 scheme,
@@ -2081,23 +2143,29 @@ fn sampling_capability_is_a_subset_of_sharding_plus_dip() {
 fn serial_only_schemes_ignore_the_sharding_offer() {
     // The negative direction of the boundary: offering a shard plan to a
     // scheme whose cache declines `supports_set_sharding` must change
-    // nothing — `replay_warmed_auto` routes it through the serial path
-    // and the result is bit-identical to never having set `STEM_SHARDS`.
+    // nothing — `execute` routes it through the serial path and the
+    // result is bit-identical to never having set `STEM_SHARDS`.
     let geom = paper_geom();
     let decoded = synth_decoded(geom, 0x5AAD_0004, diff_accesses() / 10);
     let plan = ShardedTrace::partition(&decoded, 4);
+    let warm_len = warm_split(decoded.len(), 0.2);
     let mut serial_only = 0;
     for scheme in Scheme::ALL {
-        if scheme_supports_set_sharding(scheme, geom) {
+        if caps(scheme, geom).set_sharding {
             continue;
         }
         serial_only += 1;
-        let serial = run_scheme_warmed_decoded(scheme, geom, &decoded, 0.2);
-        let auto =
-            stem_bench::shard::replay_warmed_auto(scheme, geom, &decoded, Some(&plan), 0.2, 2);
+        let serial = run(&RunPlan::new(scheme, geom, warm_len), &decoded);
+        let offered = RunPlan {
+            shards: Some(&plan),
+            threads: 2,
+            ..RunPlan::new(scheme, geom, warm_len)
+        };
+        let auto = run(&offered, &decoded);
+        assert_eq!(auto.route, Route::Serial, "{scheme}");
         assert_eq!(
-            serial.to_bits(),
-            auto.to_bits(),
+            serial.mpki.to_bits(),
+            auto.mpki.to_bits(),
             "{scheme}: a declined sharding offer must leave results untouched"
         );
     }
