@@ -21,11 +21,12 @@ fi
 echo "==> cargo build --release (workspace, bins, benches)"
 cargo build --release --workspace --bins --benches
 
-echo "==> cargo check (benchmark crate, its own workspace)"
-# perfbench/ builds against the workspace crates by path; checking it here
-# turns a removed or renamed public item it calls into a CI failure
-# rather than a benchmark-run failure.
-cargo check -q --manifest-path perfbench/Cargo.toml
+echo "==> cargo test (benchmark crate, its own workspace)"
+# perfbench/ builds against the workspace crates by path. Its tests run
+# all three workloads at tiny scale against the committed
+# perfbench/digest.txt, so a removed public item it calls, or a change
+# that moves a simulated result, fails CI rather than a benchmark run.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q (workspace)"
 # STEM_CHECKED_ACCESSES keeps the 1M-access audited runs tractable in CI;
@@ -37,8 +38,7 @@ STEM_CHECKED_ACCESSES="${STEM_CHECKED_ACCESSES:-200000}" cargo test -q --workspa
 echo "==> throughput bench (smoke) + BENCH_throughput.json"
 # Smoke-sized iterations keep CI fast; drop the override for real numbers.
 # 50k accesses keeps each timed iteration in the milliseconds — big enough
-# for the paired access/decoded comparison to mean something, small enough
-# for the gate. The JSON lands under STEM_CSV_DIR next to the correctness
+# for the per-scheme timings to mean something, small enough for the gate. The JSON lands under STEM_CSV_DIR next to the correctness
 # artifacts so every PR records its accesses/second (see EXPERIMENTS.md).
 CSV_DIR="${STEM_CSV_DIR:-target/ci-artifacts}"
 mkdir -p "$CSV_DIR"

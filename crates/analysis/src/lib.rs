@@ -9,7 +9,8 @@
 //! * [`RunPlan`] and [`execute`] — the one experiment driver: a scheme,
 //!   geometry and warm-up split replayed over a decoded trace through the
 //!   bare LLC or the full system, sharded, sampled or restored when the
-//!   scheme's [`Caps`] allow, returning MPKI / [`SystemMetrics`];
+//!   scheme's [`Caps`](stem_sim_core::Caps) allow, returning MPKI /
+//!   [`SystemMetrics`];
 //! * [`geomean`], [`Table`] — reporting helpers that render the paper's
 //!   tables as text.
 //!
@@ -41,7 +42,7 @@ pub use capacity::{CapacityDemandProfiler, DemandHistogram};
 pub use classify::{classify_workload, ClassificationReport};
 pub use mix::{run_mix_decoded, MixOutcome};
 pub use mrc::MissRateCurve;
-pub use plan::{caps, execute, Caps, Fidelity, Route, RunError, RunPlan, RunReport, Start, Target};
+pub use plan::{caps, execute, Fidelity, Route, RunError, RunPlan, RunReport, Start, Target};
 pub use report::{geomean, Table};
 pub use scheme::{
     build_audited_cache, build_cache, replay_warmed, warm_scheme_snapshot, warm_split, Scheme,

@@ -6,7 +6,9 @@
 //! names the cell plus the optional accelerations a caller *offers* — a
 //! set-sharded partition, a strided set sample, a warm snapshot — and
 //! [`execute`] routes it. Each offer is gated by one bit of the scheme's
-//! [`Caps`]; a declined offer runs the plain cold exact replay instead, so
+//! [`Caps`], read once from its
+//! [`CacheModel::capabilities`](stem_sim_core::CacheModel::capabilities);
+//! a declined offer runs the plain cold exact replay instead, so
 //! an offer can change how long a cell takes, never its numbers (except
 //! sampling, which is an estimate by design and refuses loudly instead).
 //!
@@ -23,38 +25,15 @@ use std::fmt;
 
 use stem_hierarchy::{System, SystemConfig, SystemMetrics, SystemSnapshot};
 use stem_sim_core::{
-    CacheGeometry, CacheModel, CacheStats, DecodedTrace, SampledTrace, ShardedTrace, Snapshot,
+    CacheGeometry, CacheStats, Caps, DecodedTrace, SampledTrace, ShardedTrace, Snapshot,
     SnapshotError, TraceShard,
 };
 
 use crate::scheme::{build_cache, replay_warmed, Scheme};
 
-/// The optional replay strategies a scheme opts into, read from the
-/// scheme's own cache so the boundary lives with each scheme's state
-/// declaration (DESIGN.md §13–§15 tabulate it, §17 routes on it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Caps {
-    /// Per-set state only: set-sharded replay is bit-identical to serial.
-    pub set_sharding: bool,
-    /// A strided set sample is a sound estimator of the whole cache.
-    pub set_sampling: bool,
-    /// The complete replay state checkpoints and restores exactly.
-    pub snapshot: bool,
-}
-
-impl Caps {
-    fn of(cache: &dyn CacheModel) -> Caps {
-        Caps {
-            set_sharding: cache.supports_set_sharding(),
-            set_sampling: cache.supports_set_sampling(),
-            snapshot: cache.supports_snapshot(),
-        }
-    }
-}
-
 /// The capabilities of `scheme` as built for `geom`.
 pub fn caps(scheme: Scheme, geom: CacheGeometry) -> Caps {
-    Caps::of(build_cache(scheme, geom).as_ref())
+    build_cache(scheme, geom).capabilities()
 }
 
 /// How much of the cache a plan replays.
@@ -119,7 +98,7 @@ pub struct RunPlan<'a> {
     /// The LLC scheme.
     pub scheme: Scheme,
     /// The LLC geometry. The trace's set count and line size may differ
-    /// (decoded streams fall back to line addresses).
+    /// (every scheme replays decoded accesses as line addresses).
     pub geom: CacheGeometry,
     /// Accesses replayed unmeasured before the counters reset
     /// ([`warm_split`](crate::warm_split) computes the paper's split).
@@ -235,7 +214,7 @@ pub fn execute(plan: &RunPlan<'_>, trace: &DecodedTrace) -> Result<RunReport, Ru
     let warm_len = plan.warm_len;
     assert!(warm_len <= trace.len(), "warm-up exceeds the trace");
     let mut cache = build_cache(plan.scheme, plan.geom);
-    let caps = Caps::of(cache.as_ref());
+    let caps = cache.capabilities();
     let mut scale = 1.0;
     let mut system = None;
     let (route, stats) = match (plan.fidelity, plan.target, plan.start) {

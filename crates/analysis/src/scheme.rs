@@ -183,7 +183,8 @@ pub fn replay_warmed(
 /// `trace`, zeroes its counters at the boundary, and checkpoints — the
 /// warm-once half of warm-prefix reuse, consumed by
 /// [`Start::Restore`](crate::Start::Restore). Returns `None` when the
-/// scheme declines the capability ([`Caps::snapshot`](crate::Caps::snapshot)).
+/// scheme declines the capability
+/// ([`Caps::snapshot`](stem_sim_core::Caps::snapshot)).
 ///
 /// The snapshot captures post-reset state, so a restored cache measures
 /// from zeroed counters just like the cold run does after its own warm-up.

@@ -16,26 +16,9 @@ use std::time::Duration;
 
 use stem_analysis::{build_cache, geomean, Scheme};
 use stem_bench::config::Config;
-use stem_bench::timing::{best_of, best_of_paired, throughput_line};
-use stem_sim_core::{CacheGeometry, DecodedTrace, Json};
+use stem_bench::timing::{best_of, throughput_line};
+use stem_sim_core::{CacheGeometry, Json};
 use stem_workloads::BenchmarkProfile;
-
-/// One per-scheme JSON series (`"schemes"` or `"decoded"`).
-fn series(accesses: u64, results: &[(&str, Duration)]) -> Json {
-    Json::Arr(
-        results
-            .iter()
-            .map(|(label, d)| {
-                let melems = accesses as f64 / d.as_secs_f64().max(1e-12) / 1e6;
-                Json::Obj(vec![
-                    ("scheme".into(), Json::str(*label)),
-                    ("best_secs".into(), Json::float_rounded(d.as_secs_f64(), 6)),
-                    ("melem_per_s".into(), Json::float_rounded(melems, 4)),
-                ])
-            })
-            .collect(),
-    )
-}
 
 /// Writes the machine-readable summary to
 /// `$STEM_CSV_DIR/BENCH_throughput.json` when the variable is set.
@@ -45,12 +28,21 @@ fn maybe_json(
     reps: usize,
     results: &[(&str, Duration)],
     geomean_melems: f64,
-    decoded: &[(&str, Duration)],
-    decoded_geomean_melems: f64,
 ) {
     let Some(dir) = csv_dir else {
         return;
     };
+    let schemes = results
+        .iter()
+        .map(|(label, d)| {
+            let melems = accesses as f64 / d.as_secs_f64().max(1e-12) / 1e6;
+            Json::Obj(vec![
+                ("scheme".into(), Json::str(*label)),
+                ("best_secs".into(), Json::float_rounded(d.as_secs_f64(), 6)),
+                ("melem_per_s".into(), Json::float_rounded(melems, 4)),
+            ])
+        })
+        .collect();
     let doc = Json::Obj(vec![
         ("accesses_per_iteration".into(), Json::Int(accesses as i64)),
         ("best_of".into(), Json::Int(reps as i64)),
@@ -58,16 +50,7 @@ fn maybe_json(
             "geomean_melem_per_s".into(),
             Json::float_rounded(geomean_melems, 4),
         ),
-        (
-            "decoded_geomean_melem_per_s".into(),
-            Json::float_rounded(decoded_geomean_melems, 4),
-        ),
-        (
-            "decoded_vs_access_speedup".into(),
-            Json::float_rounded(decoded_geomean_melems / geomean_melems.max(1e-12), 4),
-        ),
-        ("schemes".into(), series(accesses, results)),
-        ("decoded".into(), series(accesses, decoded)),
+        ("schemes".into(), Json::Arr(schemes)),
     ]);
     let path = dir.join("BENCH_throughput.json");
     if let Err(e) = std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, doc.pretty())) {
@@ -83,33 +66,14 @@ fn main() {
         .expect("suite benchmark")
         .trace(geom, cfg.bench_accesses.unwrap_or(100_000));
 
-    // The byte-`Access` path and the pre-decoded SoA stream are timed
-    // *interleaved* per scheme (see `best_of_paired`): on a shared host the
-    // clock drifts over seconds, and timing one whole series before the
-    // other would hand the faster window to whichever ran first. Decode
-    // cost is excluded from the decoded series: run_all amortizes one
-    // decode per benchmark over all scheme cells.
-    let dtrace = DecodedTrace::decode(&trace, geom);
     let mut results: Vec<(&str, Duration)> = Vec::new();
-    let mut decoded: Vec<(&str, Duration)> = Vec::new();
     for scheme in Scheme::PAPER {
-        let (da, dd) = best_of_paired(
-            REPS,
-            || {
-                let mut cache = build_cache(scheme, geom);
-                for a in &trace {
-                    cache.access(a.addr, a.kind);
-                }
-                cache.stats().misses()
-            },
-            || {
-                let mut cache = build_cache(scheme, geom);
-                cache.run_decoded(&dtrace);
-                cache.stats().misses()
-            },
-        );
-        results.push((scheme.label(), da));
-        decoded.push((scheme.label(), dd));
+        let d = best_of(REPS, || {
+            let mut cache = build_cache(scheme, geom);
+            cache.run(&trace);
+            cache.stats().misses()
+        });
+        results.push((scheme.label(), d));
     }
 
     println!(
@@ -125,28 +89,12 @@ fn main() {
         .collect();
     let gm = geomean(&melems);
     println!("geomean: {gm:.2} Melem/s");
-
-    println!(
-        "\n# scheme_access_decoded ({} accesses/iteration, best of {REPS})",
-        dtrace.len()
-    );
-    for (label, d) in &decoded {
-        println!("{}", throughput_line(label, dtrace.len() as u64, *d));
-    }
-    let decoded_melems: Vec<f64> = decoded
-        .iter()
-        .map(|(_, d)| dtrace.len() as f64 / d.as_secs_f64().max(1e-12) / 1e6)
-        .collect();
-    let dgm = geomean(&decoded_melems);
-    println!("geomean: {dgm:.2} Melem/s ({:.2}x access path)", dgm / gm);
     maybe_json(
         cfg.csv_dir.as_deref(),
         trace.len() as u64,
         REPS,
         &results,
         gm,
-        &decoded,
-        dgm,
     );
 
     let bench = BenchmarkProfile::by_name("mcf").expect("suite benchmark");

@@ -79,12 +79,13 @@ impl StageBreakdown {
         fig1_prep_secs: f64,
         outcomes: &[ExperimentOutcome],
     ) -> Self {
+        // Folded from +0.0: `Iterator::sum` over no cells yields -0.0,
+        // which would print as `-0.00s` (e.g. the shard stage at 1 shard).
         let sum_where = |f: &dyn Fn(&str) -> bool| -> f64 {
             outcomes
                 .iter()
                 .filter(|o| f(&o.name))
-                .map(|o| o.elapsed.as_secs_f64())
-                .sum()
+                .fold(0.0, |acc, o| acc + o.elapsed.as_secs_f64())
         };
         let replay_secs = sum_where(&|n: &str| {
             n.starts_with("matrix/")
@@ -1181,5 +1182,24 @@ fn main() -> ExitCode {
             eprintln!("partial results above are valid; rerun the failed experiments individually");
             ExitCode::from(runner.exit_code())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn stage_without_cells_is_a_positive_zero() {
+        let outcomes = [ExperimentOutcome {
+            name: "matrix/omnetpp/LRU".to_owned(),
+            failure: None,
+            elapsed: Duration::from_millis(5),
+        }];
+        let stages = StageBreakdown::from_outcomes(PrepTimings::default(), 0.0, &outcomes);
+        assert!(stages.shard_secs == 0.0 && stages.shard_secs.is_sign_positive());
+        assert_eq!(format!("{:.2}", stages.shard_secs), "0.00");
+        assert!(stages.replay_secs > 0.0);
     }
 }

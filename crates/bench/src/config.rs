@@ -10,7 +10,7 @@
 //!
 //! Knobs are stored as `Option`s ("set and valid" vs "unset") because
 //! defaults legitimately differ per driver (`STEM_ACCESSES` defaults to
-//! 2M in the matrix harness but 400k in `classify_suite`); canonical
+//! 2M in the matrix harness but 1M in `capacity_sweep`); canonical
 //! defaults shared across drivers get accessor methods here.
 //!
 //! A set-but-empty variable counts as unset, so `STEM_CSV_DIR= cargo run …`
@@ -97,7 +97,7 @@ pub const SERVE_SNAPSHOT_SLOTS_ENV: &str = "STEM_SERVE_SNAPSHOT_SLOTS";
 /// subset of the set space ([`SampledTrace`](stem_sim_core::SampledTrace))
 /// and scales the measured counts back up, trading a measured MPKI error
 /// for an algorithmic reduction in work. Only schemes whose caches report
-/// [`supports_set_sampling`](stem_sim_core::CacheModel::supports_set_sampling)
+/// [`Caps::set_sampling`](stem_sim_core::Caps::set_sampling)
 /// honour the sampled tier — the rest run exact regardless.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Fidelity {
@@ -294,7 +294,7 @@ impl Config {
     /// Set-shard count for intra-trace replay: `STEM_SHARDS`, defaulting
     /// to 1 (serial replay; sharding is strictly opt-in). Only schemes
     /// whose caches report
-    /// [`supports_set_sharding`](stem_sim_core::CacheModel::supports_set_sharding)
+    /// [`Caps::set_sharding`](stem_sim_core::Caps::set_sharding)
     /// honour values above 1 — the rest replay serially regardless.
     pub fn shards(&self) -> usize {
         self.shards.unwrap_or(1)

@@ -185,7 +185,6 @@ impl MixSystem {
 
         let t = self.cfg.timing;
         let l2_geom = self.l2.geometry();
-        let l2_decoded: Vec<bool> = streams.iter().map(|s| s.compatible_with(l2_geom)).collect();
         let mut cursors = vec![0usize; cores];
 
         // Warm phase: identical event stream to the measured phase,
@@ -196,17 +195,12 @@ impl MixSystem {
             cursors[core] += 1;
             let line_bytes = streams[core].geometry().line_bytes();
             if self.l1s[core].access_line(a.line, a.write).is_miss() {
-                let l2_r = if l2_decoded[core] {
-                    self.l2.access_decoded(a)
-                } else {
-                    self.l2.access(a.address(line_bytes), a.kind())
-                };
+                let addr = a.address(line_bytes);
+                let l2_r = self.l2.access(addr, a.kind());
                 if l2_r.is_miss() {
-                    self.cfg.prefetcher.on_l1_miss(
-                        a.address(line_bytes),
-                        l2_geom,
-                        self.l2.as_mut(),
-                    );
+                    self.cfg
+                        .prefetcher
+                        .on_l1_miss(addr, l2_geom, self.l2.as_mut());
                 }
             }
         }
@@ -229,11 +223,8 @@ impl MixSystem {
             let line_bytes = streams[core].geometry().line_bytes();
             let mut c = self.cfg.l1_hit_cycles;
             if self.l1s[core].access_line(a.line, a.write).is_miss() {
-                let l2_r = if l2_decoded[core] {
-                    self.l2.access_decoded(a)
-                } else {
-                    self.l2.access(a.address(line_bytes), a.kind())
-                };
+                let addr = a.address(line_bytes);
+                let l2_r = self.l2.access(addr, a.kind());
                 match (l2_r.is_hit(), l2_r.probed_cooperative()) {
                     (true, false) => core_l2[core].record_local_hit(),
                     (true, true) => core_l2[core].record_coop_hit(),
@@ -243,11 +234,9 @@ impl MixSystem {
                 c += t.l2_latency(l2_r);
                 if l2_r.is_miss() {
                     c += t.memory();
-                    self.cfg.prefetcher.on_l1_miss(
-                        a.address(line_bytes),
-                        l2_geom,
-                        self.l2.as_mut(),
-                    );
+                    self.cfg
+                        .prefetcher
+                        .on_l1_miss(addr, l2_geom, self.l2.as_mut());
                 }
             }
             cycles[core] += c;

@@ -224,21 +224,15 @@ impl System {
             "decoded line granularity must match the hierarchy's"
         );
         let l2_geom = self.l2.geometry();
-        let l2_decoded = trace.compatible_with(l2_geom);
         let line_bytes = trace.geometry().line_bytes();
         for a in trace.iter_range(0..warm_len) {
             if self.l1.access_line(a.line, a.write).is_miss() {
-                let l2_r = if l2_decoded {
-                    self.l2.access_decoded(a)
-                } else {
-                    self.l2.access(a.address(line_bytes), a.kind())
-                };
+                let addr = a.address(line_bytes);
+                let l2_r = self.l2.access(addr, a.kind());
                 if l2_r.is_miss() {
-                    self.cfg.prefetcher.on_l1_miss(
-                        a.address(line_bytes),
-                        l2_geom,
-                        self.l2.as_mut(),
-                    );
+                    self.cfg
+                        .prefetcher
+                        .on_l1_miss(addr, l2_geom, self.l2.as_mut());
                 }
             }
         }
@@ -314,7 +308,6 @@ impl System {
         let mut total_cycles: u64 = 0; // memory access cycles
         let mut accesses: u64 = 0;
         let l2_geom = self.l2.geometry();
-        let l2_decoded = trace.compatible_with(l2_geom);
         let line_bytes = trace.geometry().line_bytes();
         let stats_base = *self.l2.stats();
         let instructions = trace.instructions_in(range.clone()).max(1);
@@ -324,19 +317,14 @@ impl System {
             let l1_result = self.l1.access_line(a.line, a.write);
             let mut cycles = self.cfg.l1_hit_cycles;
             if l1_result.is_miss() {
-                let l2_result = if l2_decoded {
-                    self.l2.access_decoded(a)
-                } else {
-                    self.l2.access(a.address(line_bytes), a.kind())
-                };
+                let addr = a.address(line_bytes);
+                let l2_result = self.l2.access(addr, a.kind());
                 cycles += t.l2_latency(l2_result);
                 if l2_result.is_miss() {
                     cycles += t.memory();
-                    self.cfg.prefetcher.on_l1_miss(
-                        a.address(line_bytes),
-                        l2_geom,
-                        self.l2.as_mut(),
-                    );
+                    self.cfg
+                        .prefetcher
+                        .on_l1_miss(addr, l2_geom, self.l2.as_mut());
                 }
             }
             total_cycles += cycles;
@@ -574,8 +562,8 @@ mod tests {
         assert_eq!(got.instructions, expect.instructions);
         assert_eq!(got.accesses, expect.accesses);
 
-        // An L2 with an incompatible set count takes the fallback arm and
-        // must still agree.
+        // An L2 whose set count differs from the decode geometry must
+        // still agree.
         let other_geom = CacheGeometry::new(32, 8, 64).unwrap();
         let other = || -> Box<dyn CacheModel> {
             Box::new(SetAssocCache::new(

@@ -1,7 +1,7 @@
 //! Bimodal (BIP) and LRU-insertion (LIP) policies of Qureshi et al.
 //! (ISCA'07).
 
-use stem_sim_core::{CacheGeometry, SplitMix64};
+use stem_sim_core::{CacheGeometry, Caps, SplitMix64};
 
 use crate::{RecencyStack, ReplacementPolicy};
 
@@ -76,13 +76,16 @@ impl ReplacementPolicy for Bip {
         "BIP"
     }
 
-    // NOT sharding-safe: one global RNG is consumed on every fill, so which
-    // draw a given set's fill observes depends on the global miss
-    // interleaving. Stays on the serial path (the trait default, made
-    // explicit here because the per-set stacks alone would suggest
-    // otherwise).
-    fn supports_set_sharding(&self) -> bool {
-        false
+    /// NOT sharding- or sampling-safe: one global RNG is consumed on every
+    /// fill, so which draw a given set's fill observes depends on the
+    /// global miss interleaving (the per-set stacks alone would suggest
+    /// otherwise). Snapshots clone the whole policy, RNG position included.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: false,
+            set_sampling: false,
+            snapshot: true,
+        }
     }
 
     fn audit_set(&self, set: usize) -> Result<(), String> {
@@ -133,9 +136,14 @@ impl ReplacementPolicy for Lip {
         "LIP"
     }
 
-    // Unlike BIP, LIP has no RNG — per-set stacks only, so sharding-safe.
-    fn supports_set_sharding(&self) -> bool {
-        true
+    /// Unlike BIP, LIP has no RNG: per-set stacks only, so sharding- and
+    /// sampling-safe, and snapshots clone the whole policy.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: true,
+            set_sampling: true,
+            snapshot: true,
+        }
     }
 
     fn audit_set(&self, set: usize) -> Result<(), String> {

@@ -1,11 +1,8 @@
 //! A conventional set-associative cache driven by any replacement policy.
 
-use std::ops::Range;
-
 use stem_sim_core::{
-    replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
-    Snapshot, SnapshotError,
+    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats, Caps,
+    InvariantAuditor, LineAddr, SetFrames, Snapshot, SnapshotError,
 };
 
 use crate::ReplacementPolicy;
@@ -100,160 +97,53 @@ impl SetAssocCache {
         }
     }
 
-    fn line_of(&self, addr: Address) -> (usize, u64) {
-        let line: LineAddr = addr.line(self.geom.line_bytes());
-        (
-            self.geom.set_index_of_line(line),
-            self.geom.tag_of_line(line),
-        )
-    }
-
-    /// The single lookup/replacement path behind every access entry point
-    /// (`access`, `access_decoded`, `access_line`): set index and tag word
-    /// are already extracted.
-    #[inline]
-    fn access_at(&mut self, set: usize, tag: u64, write: bool) -> AccessResult {
-        access_kernel(
-            &self.geom,
-            &mut self.frames,
-            &mut self.stats,
-            &mut *self.policy,
-            set,
-            tag,
-            write,
-        )
-    }
-
     /// Processes one line-granular access, deriving set and tag from this
-    /// cache's own geometry. The decoded-replay entry point for caches
-    /// whose geometry differs from the decode geometry but shares its line
-    /// size (e.g. the L1 in a [`DecodedTrace`]-driven hierarchy run).
+    /// cache's own geometry: the lookup/replacement path behind
+    /// [`access`](CacheModel::access), and the entry point for a cache that
+    /// shares a decoded trace's line size but not its set count (e.g. the
+    /// L1 in a [`DecodedTrace`](stem_sim_core::DecodedTrace)-driven
+    /// hierarchy run).
     #[inline]
     pub fn access_line(&mut self, line: LineAddr, write: bool) -> AccessResult {
-        self.access_at(
-            self.geom.set_index_of_line(line),
-            self.geom.tag_of_line(line),
-            write,
-        )
-    }
-}
-
-/// The lookup/replacement kernel shared by every access entry point,
-/// generic over the policy so the decoded replay loop can monomorphize it
-/// (`P = Lru`, `Dip`, `PeLifo`) while the per-call byte path keeps dynamic
-/// dispatch (`P = dyn ReplacementPolicy`). Takes the cache fields
-/// individually to keep the borrows split from the boxed policy.
-#[inline]
-fn access_kernel<P: ReplacementPolicy + ?Sized>(
-    geom: &CacheGeometry,
-    frames: &mut SetFrames,
-    stats: &mut CacheStats,
-    policy: &mut P,
-    set: usize,
-    tag: u64,
-    write: bool,
-) -> AccessResult {
-    if let Some(way) = frames.find(set, tag) {
-        stats.record_local_hit();
-        policy.on_hit(set, way);
-        if write {
-            frames.mark_dirty(set, way);
-        }
-        return AccessResult::HitLocal;
-    }
-
-    stats.record_local_miss();
-    policy.on_miss(set);
-
-    let way = match frames.first_free(set) {
-        Some(w) => w,
-        None => {
-            let victim = policy.victim(set);
-            debug_assert!(victim < geom.ways());
-            let old = frames.take(set, victim).expect("victim way must be valid");
-            stats.record_eviction();
-            if old.dirty {
-                stats.record_writeback();
+        let set = self.geom.set_index_of_line(line);
+        let tag = self.geom.tag_of_line(line);
+        if let Some(way) = self.frames.find(set, tag) {
+            self.stats.record_local_hit();
+            self.policy.on_hit(set, way);
+            if write {
+                self.frames.mark_dirty(set, way);
             }
-            victim
+            return AccessResult::HitLocal;
         }
-    };
-    frames.fill(set, way, tag, write, false);
-    policy.on_fill(set, way);
-    AccessResult::MissLocal
-}
 
-/// Replays a decoded range through [`access_kernel`], monomorphized per
-/// policy type (see [`SetAssocCache::replay_decoded`]).
-#[inline]
-fn replay_kernel<P: ReplacementPolicy + ?Sized>(
-    geom: &CacheGeometry,
-    frames: &mut SetFrames,
-    stats: &mut CacheStats,
-    policy: &mut P,
-    trace: &DecodedTrace,
-    range: Range<usize>,
-) {
-    let sets = trace.set_indices();
-    let lines = trace.line_addrs();
-    for i in range {
-        let line = LineAddr::new(lines[i]);
-        debug_assert_eq!(sets[i] as usize, geom.set_index_of_line(line));
-        access_kernel(
-            geom,
-            frames,
-            stats,
-            policy,
-            sets[i] as usize,
-            geom.tag_of_line(line),
-            trace.is_write(i),
-        );
+        self.stats.record_local_miss();
+        self.policy.on_miss(set);
+
+        let way = match self.frames.first_free(set) {
+            Some(w) => w,
+            None => {
+                let victim = self.policy.victim(set);
+                debug_assert!(victim < self.geom.ways());
+                let old = self
+                    .frames
+                    .take(set, victim)
+                    .expect("victim way must be valid");
+                self.stats.record_eviction();
+                if old.dirty {
+                    self.stats.record_writeback();
+                }
+                victim
+            }
+        };
+        self.frames.fill(set, way, tag, write, false);
+        self.policy.on_fill(set, way);
+        AccessResult::MissLocal
     }
 }
 
 impl CacheModel for SetAssocCache {
     fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-        let (set, tag) = self.line_of(addr);
-        self.access_at(set, tag, kind.is_write())
-    }
-
-    /// Consumes the pre-decoded set index directly; only the narrow tag
-    /// word remains to derive (one shift off the line address).
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        debug_assert_eq!(a.set as usize, self.geom.set_index_of_line(a.line));
-        self.access_at(a.set as usize, self.geom.tag_of_line(a.line), a.write)
-    }
-
-    /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// the lookup/replacement kernel with static dispatch, instead of one
-    /// virtual `access_decoded` call per access through the trait default.
-    /// Policies that expose [`ReplacementPolicy::as_any_mut`] are downcast
-    /// so the whole per-access protocol (hit promotion, victim choice,
-    /// fill ranking) compiles as one inlined loop; any other policy runs
-    /// the same kernel through the boxed vtable, identically.
-    fn replay_decoded(&mut self, trace: &DecodedTrace, range: Range<usize>) {
-        if !trace.compatible_with(self.geom) {
-            return replay_decoded_via_access(self, trace, range);
-        }
-        let SetAssocCache {
-            geom,
-            frames,
-            policy,
-            stats,
-            ..
-        } = self;
-        if let Some(any) = policy.as_any_mut() {
-            if let Some(p) = any.downcast_mut::<crate::Lru>() {
-                return replay_kernel(geom, frames, stats, p, trace, range);
-            }
-            if let Some(p) = any.downcast_mut::<crate::Dip>() {
-                return replay_kernel(geom, frames, stats, p, trace, range);
-            }
-            if let Some(p) = any.downcast_mut::<crate::PeLifo>() {
-                return replay_kernel(geom, frames, stats, p, trace, range);
-            }
-        }
-        replay_kernel(geom, frames, stats, &mut **policy, trace, range)
+        self.access_line(addr.line(self.geom.line_bytes()), kind.is_write())
     }
 
     fn stats(&self) -> &CacheStats {
@@ -272,25 +162,11 @@ impl CacheModel for SetAssocCache {
         &self.name
     }
 
-    /// The frames and stats are per-set by construction, so shardability is
-    /// exactly the policy's call
-    /// ([`ReplacementPolicy::supports_set_sharding`]).
-    fn supports_set_sharding(&self) -> bool {
-        self.policy.supports_set_sharding()
-    }
-
-    /// Likewise for sampled replay: the cache structure adds no cross-set
-    /// state, so eligibility is exactly the policy's call
-    /// ([`ReplacementPolicy::supports_set_sampling`]).
-    fn supports_set_sampling(&self) -> bool {
-        self.policy.supports_set_sampling()
-    }
-
-    /// The cache's own state is exactly `(frames, stats)` — both plain
-    /// data — so snapshotability is the policy's call
-    /// ([`ReplacementPolicy::supports_snapshot`]).
-    fn supports_snapshot(&self) -> bool {
-        self.policy.supports_snapshot()
+    /// The cache's own state is `(frames, stats)`: per-set, plain data,
+    /// no cross-set coupling. Every capability is therefore exactly the
+    /// policy's call ([`ReplacementPolicy::capabilities`]).
+    fn capabilities(&self) -> Caps {
+        self.policy.capabilities()
     }
 
     fn snapshot(&self) -> Option<Snapshot> {
@@ -305,7 +181,7 @@ impl CacheModel for SetAssocCache {
     }
 
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
-        if !self.policy.supports_snapshot() {
+        if !self.policy.capabilities().snapshot {
             return Err(stem_sim_core::snapshot::unsupported(&self.name));
         }
         snapshot.verify_target(&self.name, self.geom)?;

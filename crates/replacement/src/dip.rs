@@ -1,7 +1,7 @@
 //! Dynamic Insertion Policy (Qureshi et al., ISCA'07) with
 //! complement-select set dueling.
 
-use stem_sim_core::{CacheGeometry, SaturatingCounter, SplitMix64};
+use stem_sim_core::{CacheGeometry, Caps, SaturatingCounter, SplitMix64};
 
 use crate::{RecencyStack, ReplacementPolicy, BIP_DEFAULT_THROTTLE_LOG2};
 
@@ -180,29 +180,28 @@ impl ReplacementPolicy for Dip {
         "DIP"
     }
 
-    // NOT sharding-safe: the global PSEL is bumped by leader-set misses and
-    // read by every follower fill, so follower insertion depth depends on
-    // the cross-set interleaving of leader updates. Serial path only.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
-    // Sampled replay IS meaningful for DIP, as a documented approximation:
-    // set dueling is itself a sampling estimator ("the behaviour of a few
-    // leader sets predicts the whole cache"), so training PSEL on the
-    // leader sets that survive a pair-preserving strided sample is the
-    // same estimator over a smaller population. The duel's verdict — and
-    // therefore follower insertion depth — may differ from the full-cache
-    // duel when the surviving leaders are unrepresentative; that error is
-    // measured per benchmark/rate and bounded in BENCH_sampling.json
-    // (DESIGN.md §14). At rate 1 every leader survives and the replay is
-    // bit-identical to serial.
-    fn supports_set_sampling(&self) -> bool {
-        true
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
+    /// NOT sharding-safe: the global PSEL is bumped by leader-set misses
+    /// and read by every follower fill, so follower insertion depth depends
+    /// on the cross-set interleaving of leader updates.
+    ///
+    /// Sampled replay IS meaningful, as a documented approximation: set
+    /// dueling is itself a sampling estimator ("the behaviour of a few
+    /// leader sets predicts the whole cache"), so training PSEL on the
+    /// leader sets that survive a pair-preserving strided sample is the
+    /// same estimator over a smaller population. The duel's verdict — and
+    /// therefore follower insertion depth — may differ from the full-cache
+    /// duel when the surviving leaders are unrepresentative; that error is
+    /// measured per benchmark/rate and bounded in BENCH_sampling.json
+    /// (DESIGN.md §14). At rate 1 every leader survives and the replay is
+    /// bit-identical to serial.
+    ///
+    /// Snapshots clone the whole policy, PSEL included.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: false,
+            set_sampling: true,
+            snapshot: true,
+        }
     }
 
     fn audit_set(&self, set: usize) -> Result<(), String> {

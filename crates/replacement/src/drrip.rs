@@ -7,7 +7,7 @@
 //! natural question a reviewer would ask ("does STEM still win against
 //! RRIP-class policies?").
 
-use stem_sim_core::{CacheGeometry, SaturatingCounter, SplitMix64};
+use stem_sim_core::{CacheGeometry, Caps, SaturatingCounter, SplitMix64};
 
 use crate::dip::{DuelAssignment, Duelists};
 use crate::ReplacementPolicy;
@@ -127,10 +127,15 @@ impl ReplacementPolicy for Drrip {
         "DRRIP"
     }
 
-    // NOT sharding-safe: global PSEL (leader-set duel) plus a global RNG on
-    // the BRRIP fill path. Serial path only.
-    fn supports_set_sharding(&self) -> bool {
-        false
+    /// NOT sharding- or sampling-safe: global PSEL (leader-set duel) plus
+    /// a global RNG on the BRRIP fill path. Snapshots clone the whole
+    /// policy, PSEL and RNG position included.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: false,
+            set_sampling: false,
+            snapshot: true,
+        }
     }
 }
 

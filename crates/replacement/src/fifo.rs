@@ -1,6 +1,6 @@
 //! First-in-first-out replacement.
 
-use stem_sim_core::CacheGeometry;
+use stem_sim_core::{CacheGeometry, Caps};
 
 use crate::{RecencyStack, ReplacementPolicy};
 
@@ -43,9 +43,14 @@ impl ReplacementPolicy for Fifo {
         "FIFO"
     }
 
-    // One fill stack per set, nothing shared: sharding-safe.
-    fn supports_set_sharding(&self) -> bool {
-        true
+    /// One fill stack per set, nothing shared: sharding- and
+    /// sampling-safe, and snapshots clone the whole policy.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: true,
+            set_sampling: true,
+            snapshot: true,
+        }
     }
 
     fn audit_set(&self, set: usize) -> Result<(), String> {

@@ -1,6 +1,6 @@
 //! Least-recently-used replacement.
 
-use stem_sim_core::CacheGeometry;
+use stem_sim_core::{CacheGeometry, Caps};
 
 use crate::{RecencyStack, ReplacementPolicy};
 
@@ -63,14 +63,15 @@ impl ReplacementPolicy for Lru {
         "LRU"
     }
 
-    // One RecencyStack per set, nothing shared: set-sharded replay is
-    // order-equivalent to serial replay.
-    fn supports_set_sharding(&self) -> bool {
-        true
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
+    /// One RecencyStack per set, nothing shared: set-sharded and sampled
+    /// replay are order-equivalent to serial replay, and snapshots clone
+    /// the whole policy.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: true,
+            set_sampling: true,
+            snapshot: true,
+        }
     }
 
     fn audit_set(&self, set: usize) -> Result<(), String> {

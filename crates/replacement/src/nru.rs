@@ -1,7 +1,7 @@
 //! Not-recently-used replacement (one reference bit per line), the other
 //! classic cheap hardware policy.
 
-use stem_sim_core::{CacheGeometry, SplitMix64};
+use stem_sim_core::{CacheGeometry, Caps, SplitMix64};
 
 use crate::ReplacementPolicy;
 
@@ -90,12 +90,17 @@ impl ReplacementPolicy for Nru {
         "NRU"
     }
 
-    // NOT sharding-safe: victim() falls back to a single global RNG when a
-    // set's reference bits saturate, so the draw a set observes depends on
-    // the global access interleaving. Serial path only (explicit because
-    // the per-set reference bits alone would suggest otherwise).
-    fn supports_set_sharding(&self) -> bool {
-        false
+    /// NOT sharding- or sampling-safe: victim() falls back to a single
+    /// global RNG when a set's reference bits saturate, so the draw a set
+    /// observes depends on the global access interleaving (the per-set
+    /// reference bits alone would suggest otherwise). Snapshots clone the
+    /// whole policy, RNG position included.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: false,
+            set_sampling: false,
+            snapshot: true,
+        }
     }
 }
 

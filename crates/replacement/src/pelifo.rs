@@ -13,7 +13,7 @@
 //! per-candidate miss counters periodically elect the winner that follower
 //! sets use.
 
-use stem_sim_core::CacheGeometry;
+use stem_sim_core::{CacheGeometry, Caps};
 
 use crate::{RecencyStack, ReplacementPolicy};
 
@@ -172,26 +172,25 @@ impl ReplacementPolicy for PeLifo {
         "PeLIFO"
     }
 
-    // NOT sharding-safe: the probabilistic-escape election (global
-    // `misses[]` histogram, `total_misses` period counter, elected winner)
-    // aggregates misses across all sets, so every set's fill depth depends
-    // on the global miss interleaving. Serial path only.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
-    // NOT sampling-safe: the election's `total_misses` period counter
-    // advances once per miss *anywhere*, so dropping sets stretches the
-    // election period in simulated time and elects from a miss histogram
-    // with different mass — unlike DIP's stationary duel, PeLIFO's
-    // elected escape depth is driven by the absolute miss volume, which
-    // sampling reduces by construction. Explicit refusal.
-    fn supports_set_sampling(&self) -> bool {
-        false
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
+    /// NOT sharding-safe: the probabilistic-escape election (global
+    /// `misses[]` histogram, `total_misses` period counter, elected winner)
+    /// aggregates misses across all sets, so every set's fill depth depends
+    /// on the global miss interleaving.
+    ///
+    /// NOT sampling-safe: the election's `total_misses` period counter
+    /// advances once per miss *anywhere*, so dropping sets stretches the
+    /// election period in simulated time and elects from a miss histogram
+    /// with different mass — unlike DIP's stationary duel, PeLIFO's
+    /// elected escape depth is driven by the absolute miss volume, which
+    /// sampling reduces by construction.
+    ///
+    /// Snapshots clone the whole policy, election state included.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: false,
+            set_sampling: false,
+            snapshot: true,
+        }
     }
 
     fn audit_set(&self, set: usize) -> Result<(), String> {

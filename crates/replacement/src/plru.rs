@@ -6,7 +6,7 @@
 //! schemes: it shows how close the paper's idealised LRU baseline is to
 //! what shipping caches actually do.
 
-use stem_sim_core::CacheGeometry;
+use stem_sim_core::{CacheGeometry, Caps};
 
 use crate::ReplacementPolicy;
 
@@ -116,9 +116,14 @@ impl ReplacementPolicy for Plru {
         "PLRU"
     }
 
-    // Per-set tree bits, no shared state: sharding-safe.
-    fn supports_set_sharding(&self) -> bool {
-        true
+    /// Per-set tree bits, no shared state: sharding- and sampling-safe,
+    /// and snapshots clone the whole policy.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: true,
+            set_sampling: true,
+            snapshot: true,
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The replacement-policy trait shared by all temporal schemes.
 
-use stem_sim_core::{snapshot, PolicyState, SnapshotError};
+use stem_sim_core::{snapshot, Caps, PolicyState, SnapshotError};
 
 /// A whole-cache replacement policy: per-set victim selection and
 /// lifetime-adjustment state.
@@ -47,63 +47,22 @@ pub trait ReplacementPolicy {
     /// A short human-readable policy name (e.g. `"LRU"`).
     fn name(&self) -> &str;
 
-    /// Downcast hook for the decoded replay loop: policies that want their
-    /// per-access protocol monomorphized (virtual dispatch hoisted out of
-    /// the hot loop, [`RecencyStack`](crate::RecencyStack) operations
-    /// inlined) return `Some(self)` so
-    /// [`SetAssocCache::replay_decoded`](crate::SetAssocCache) can
-    /// specialize on the concrete type. The default `None` keeps the
-    /// object-safe dynamic path; behaviour is identical either way.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
-
-    /// Whether every piece of this policy's mutable state is local to one
-    /// set, making set-sharded replay order-equivalent to serial replay
-    /// (the policy-level half of
-    /// [`CacheModel::supports_set_sharding`](stem_sim_core::CacheModel::supports_set_sharding);
-    /// `SetAssocCache` delegates here). Policies with *any* cross-set state
-    /// — DIP's and DRRIP's global PSEL, PeLIFO's election counters, a
-    /// global RNG consumed on a data-dependent subset of accesses (BIP,
-    /// NRU, Random), Belady's precomputed global future — must keep the
-    /// default `false`: interleaving changes what that shared state
-    /// observes. Purely per-set policies (LRU, FIFO, LIP, SRRIP, PLRU)
-    /// opt in.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
-    /// Whether sampled (strided-subset) replay of a cache driven by this
-    /// policy is a valid estimator of serial replay (the policy-level half
-    /// of
-    /// [`CacheModel::supports_set_sampling`](stem_sim_core::CacheModel::supports_set_sampling);
-    /// `SetAssocCache` delegates here). The default inherits
-    /// [`supports_set_sharding`](ReplacementPolicy::supports_set_sharding):
-    /// purely per-set state means dropped sets are invisible to kept ones,
-    /// so sampling introduces no per-set distortion. A policy with global
-    /// state may override this to opt into a *documented approximation*
-    /// (DIP does — set dueling is itself a sampling estimator); the rest
-    /// must keep the sharding answer.
-    fn supports_set_sampling(&self) -> bool {
-        self.supports_set_sharding()
-    }
-
-    /// Whether this policy's complete mutable state can be checkpointed
-    /// and restored exactly (the policy-level half of
-    /// [`CacheModel::supports_snapshot`](stem_sim_core::CacheModel::supports_snapshot);
-    /// `SetAssocCache` delegates here). Every policy in this crate opts in
-    /// by capturing a `Clone` of itself — the whole struct, including
-    /// global PSEL counters, election state, and RNG positions, so restore
-    /// resumes the *identical* deterministic trajectory. The default is
-    /// `false` so a future policy with uncloneable state (an external
-    /// handle, a shared oracle) refuses instead of snapshotting a lie.
-    fn supports_snapshot(&self) -> bool {
-        false
+    /// The replay strategies a cache driven by this policy opts into
+    /// ([`CacheModel::capabilities`](stem_sim_core::CacheModel::capabilities);
+    /// `SetAssocCache` adds no cross-set state, so it returns exactly this).
+    /// Any cross-set state — a global PSEL, election counters, a global RNG
+    /// consumed on a data-dependent subset of accesses, a precomputed
+    /// global future — rules out set sharding. Set sampling follows
+    /// sharding unless the policy documents its approximation (DIP).
+    /// Snapshots need a complete, exactly restorable capture of the
+    /// policy's state. The default declines all three, so a future policy
+    /// with uncloneable state refuses instead of snapshotting a lie.
+    fn capabilities(&self) -> Caps {
+        Caps::default()
     }
 
     /// Checkpoints this policy's complete state, or `None` when it
-    /// declines ([`supports_snapshot`](ReplacementPolicy::supports_snapshot)
-    /// is `false`).
+    /// declines ([`Caps::snapshot`] is `false`).
     fn snapshot_state(&self) -> Option<PolicyState> {
         None
     }
@@ -137,14 +96,12 @@ pub trait ReplacementPolicy {
 /// standard clone-based snapshot hooks: the policy's complete state *is*
 /// the struct, so `snapshot_state` captures `self.clone()` and
 /// `restore_state` downcasts it back. Kept as one macro so the eleven
-/// policies cannot drift from each other or from the trait contract.
+/// policies cannot drift from each other or from the trait contract; each
+/// using it states `snapshot: true` in its
+/// [`capabilities`](ReplacementPolicy::capabilities).
 #[macro_export]
 macro_rules! snapshot_policy_via_clone {
     () => {
-        fn supports_snapshot(&self) -> bool {
-            true
-        }
-
         fn snapshot_state(&self) -> Option<stem_sim_core::PolicyState> {
             Some(stem_sim_core::PolicyState::new(self.clone()))
         }

@@ -1,6 +1,6 @@
 //! Random replacement.
 
-use stem_sim_core::{CacheGeometry, SplitMix64};
+use stem_sim_core::{CacheGeometry, Caps, SplitMix64};
 
 use crate::ReplacementPolicy;
 
@@ -42,6 +42,18 @@ impl ReplacementPolicy for Random {
 
     fn name(&self) -> &str {
         "Random"
+    }
+
+    /// NOT sharding- or sampling-safe: one global RNG is consumed on every
+    /// eviction, so the draw a set observes depends on the global miss
+    /// interleaving. Snapshots clone the whole policy, RNG position
+    /// included.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: false,
+            set_sampling: false,
+            snapshot: true,
+        }
     }
 }
 

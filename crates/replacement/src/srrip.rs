@@ -4,7 +4,7 @@
 //! it post-dates neither DIP nor PeLIFO conceptually and gives the
 //! benchmark harness a sixth point of comparison.
 
-use stem_sim_core::CacheGeometry;
+use stem_sim_core::{CacheGeometry, Caps};
 
 use crate::ReplacementPolicy;
 
@@ -72,9 +72,14 @@ impl ReplacementPolicy for Srrip {
         "SRRIP"
     }
 
-    // Per-set RRPV arrays, no shared state: sharding-safe.
-    fn supports_set_sharding(&self) -> bool {
-        true
+    /// Per-set RRPV arrays, no shared state: sharding- and sampling-safe,
+    /// and snapshots clone the whole policy.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: true,
+            set_sampling: true,
+            snapshot: true,
+        }
     }
 }
 

@@ -1,11 +1,11 @@
 //! The workspace-wide error taxonomy.
 //!
-//! Every fallible operation in the simulator surfaces through one of five
-//! families, unified under [`SimError`]:
+//! Every fallible simulator operation surfaces through one of four
+//! families, unified under [`SimError`] (trace files have their own
+//! `IngestError` in `stem-trace-io`):
 //!
 //! * [`GeometryError`] — an impossible cache shape was requested;
 //! * [`SimError::Config`] — a scheme-specific parameter is out of range;
-//! * [`TraceError`] — a trace file is corrupt, truncated, or oversized;
 //! * [`AuditError`](crate::AuditError) — checked mode caught a structural
 //!   invariant violation;
 //! * [`JsonError`](crate::json::JsonError) — a JSON document (an
@@ -17,7 +17,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::io;
 
 use crate::json::JsonError;
 use crate::AuditError;
@@ -52,72 +51,6 @@ impl fmt::Display for GeometryError {
 
 impl Error for GeometryError {}
 
-/// A `STEMTRC1` trace could not be read.
-///
-/// Returned by [`io::read_trace`](crate::io::read_trace). Distinguishes
-/// transport failures ([`TraceError::Io`]) from format corruption so fault
-/// handling can treat "disk broke" and "file is garbage" differently.
-#[derive(Debug)]
-pub enum TraceError {
-    /// The underlying reader failed (includes truncation, surfaced as
-    /// `UnexpectedEof`).
-    Io(io::Error),
-    /// The first 8 bytes are not the `STEMTRC1` magic.
-    BadMagic([u8; 8]),
-    /// A record carried an access-kind byte other than 0 (read) or 1
-    /// (write).
-    BadKind(u8),
-    /// The declared record count does not fit in this platform's `usize`.
-    TooLarge(u64),
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::Io(e) => write!(f, "trace read failed: {e}"),
-            TraceError::BadMagic(m) => {
-                write!(f, "not a STEMTRC1 trace (bad magic {:02x?})", m)
-            }
-            TraceError::BadKind(b) => write!(f, "invalid access kind byte {b}"),
-            TraceError::TooLarge(n) => {
-                write!(f, "trace declares {n} records, too large for this platform")
-            }
-        }
-    }
-}
-
-impl Error for TraceError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            TraceError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for TraceError {
-    fn from(e: io::Error) -> Self {
-        TraceError::Io(e)
-    }
-}
-
-impl From<TraceError> for io::Error {
-    fn from(e: TraceError) -> Self {
-        match e {
-            TraceError::Io(inner) => inner,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
-    }
-}
-
-impl TraceError {
-    /// Whether this error denotes format corruption (as opposed to a
-    /// transport failure from the underlying reader).
-    pub fn is_corruption(&self) -> bool {
-        !matches!(self, TraceError::Io(e) if e.kind() != io::ErrorKind::UnexpectedEof)
-    }
-}
-
 /// Any error the simulator can surface, across all crates.
 ///
 /// Scheme crates return their domain-specific family; experiment drivers
@@ -133,8 +66,6 @@ pub enum SimError {
         /// What was wrong with it.
         detail: String,
     },
-    /// A trace could not be read.
-    Trace(TraceError),
     /// Checked mode caught a structural invariant violation.
     Audit(AuditError),
     /// A JSON document (experiment request, artifact) failed to parse.
@@ -158,7 +89,6 @@ impl fmt::Display for SimError {
             SimError::Config { scheme, detail } => {
                 write!(f, "invalid {scheme} configuration: {detail}")
             }
-            SimError::Trace(e) => write!(f, "trace error: {e}"),
             SimError::Audit(e) => write!(f, "audit error: {e}"),
             SimError::Json(e) => write!(f, "json error: {e}"),
         }
@@ -169,7 +99,6 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Geometry(e) => Some(e),
-            SimError::Trace(e) => Some(e),
             SimError::Audit(e) => Some(e),
             SimError::Json(e) => Some(e),
             SimError::Config { .. } => None,
@@ -180,12 +109,6 @@ impl Error for SimError {
 impl From<GeometryError> for SimError {
     fn from(e: GeometryError) -> Self {
         SimError::Geometry(e)
-    }
-}
-
-impl From<TraceError> for SimError {
-    fn from(e: TraceError) -> Self {
-        SimError::Trace(e)
     }
 }
 
@@ -225,38 +148,13 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<GeometryError>();
-        assert_send_sync::<TraceError>();
         assert_send_sync::<SimError>();
-    }
-
-    #[test]
-    fn trace_error_corruption_classification() {
-        assert!(TraceError::BadMagic(*b"NOTATRCE").is_corruption());
-        assert!(TraceError::BadKind(9).is_corruption());
-        assert!(TraceError::TooLarge(u64::MAX).is_corruption());
-        assert!(
-            TraceError::Io(io::Error::new(io::ErrorKind::UnexpectedEof, "eof")).is_corruption()
-        );
-        assert!(
-            !TraceError::Io(io::Error::new(io::ErrorKind::PermissionDenied, "no")).is_corruption()
-        );
-    }
-
-    #[test]
-    fn trace_error_converts_to_io_error() {
-        let e: io::Error = TraceError::BadKind(7).into();
-        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-        let inner = io::Error::new(io::ErrorKind::PermissionDenied, "no");
-        let e: io::Error = TraceError::Io(inner).into();
-        assert_eq!(e.kind(), io::ErrorKind::PermissionDenied);
     }
 
     #[test]
     fn sim_error_wraps_every_family() {
         let from_geom: SimError = GeometryError::ZeroWays.into();
         assert!(matches!(from_geom, SimError::Geometry(_)));
-        let from_trace: SimError = TraceError::BadKind(2).into();
-        assert!(matches!(from_trace, SimError::Trace(_)));
         let from_json: SimError = crate::json::Json::parse("{oops").unwrap_err().into();
         assert!(matches!(from_json, SimError::Json(_)));
         assert!(from_json.to_string().contains("invalid JSON"));
@@ -272,7 +170,7 @@ mod tests {
     #[test]
     fn sources_chain() {
         use std::error::Error as _;
-        let e = SimError::from(TraceError::BadMagic(*b"12345678"));
+        let e = SimError::from(GeometryError::ZeroWays);
         assert!(e.source().is_some());
         assert!(SimError::config("sbc", "x").source().is_none());
     }

@@ -20,13 +20,14 @@
 //!   set-level capacity-demand monitor (and by SBC/DIP);
 //! * [`SplitMix64`] — a tiny deterministic RNG so every simulation is
 //!   reproducible without external crates;
-//! * [`CacheModel`] — the object-safe trait all six schemes implement;
+//! * [`CacheModel`] — the object-safe trait all six schemes implement,
+//!   and [`Caps`], the replay strategies each scheme opts into;
 //! * [`Snapshot`] / [`PolicyState`] — opt-in checkpoint/restore of warm
 //!   replay state (tag store + policy state + stats), so shared warm-up
 //!   prefixes are replayed once and restored per consumer;
 //! * [`InvariantAuditor`] / [`run_audited`] — checked simulation mode that
 //!   verifies each scheme's internal bookkeeping during a run;
-//! * [`SimError`] / [`TraceError`] — the workspace-wide error taxonomy;
+//! * [`SimError`] — the workspace-wide error taxonomy;
 //! * [`json`] — the hand-rolled JSON value/writer/parser shared by the
 //!   bench artifacts and the `stem-serve` request/response bodies;
 //! * [`prop`] — an in-repo deterministic property-testing harness so the
@@ -53,7 +54,6 @@ mod decoded;
 mod error;
 mod frames;
 mod geometry;
-pub mod io;
 pub mod json;
 mod model;
 pub mod prop;
@@ -70,11 +70,11 @@ pub use addr::{Address, LineAddr};
 pub use audit::{run_audited, AuditError, AuditedCacheModel, InvariantAuditor};
 pub use counter::SaturatingCounter;
 pub use decoded::{DecodedAccess, DecodedIter, DecodedTrace};
-pub use error::{GeometryError, SimError, TraceError};
+pub use error::{GeometryError, SimError};
 pub use frames::{Frame, SetFrames};
 pub use geometry::CacheGeometry;
 pub use json::{Json, JsonError};
-pub use model::{replay_decoded_via_access, AccessResult, CacheModel};
+pub use model::{AccessResult, CacheModel, Caps};
 pub use rng::SplitMix64;
 pub use sample::SampledTrace;
 pub use shard::{ShardedTrace, TraceShard};

@@ -5,8 +5,7 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::{
-    Access, AccessKind, Address, CacheGeometry, CacheStats, DecodedAccess, DecodedTrace, Snapshot,
-    SnapshotError, Trace,
+    AccessKind, Address, CacheGeometry, CacheStats, DecodedTrace, Snapshot, SnapshotError, Trace,
 };
 
 /// The outcome of one cache access, at the granularity the paper's timing
@@ -63,6 +62,46 @@ impl fmt::Display for AccessResult {
         };
         f.write_str(s)
     }
+}
+
+/// The optional replay strategies a scheme opts into, declared by each
+/// scheme's [`CacheModel::capabilities`] next to the state that decides
+/// them. Every bit defaults to `false`: a declined strategy falls back to
+/// serial cold replay, which is always correct.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Caps {
+    /// Set-sharded replay is bit-identical to serial replay.
+    ///
+    /// Asserts: for **any** partition of the set space into disjoint
+    /// groups that keeps each set's partner `s ^ (sets/2)` in the same
+    /// group (see [`ShardedTrace`](crate::ShardedTrace)), replaying each
+    /// group's accesses in source order against a *fresh* instance yields,
+    /// per access, exactly the serial outcome, and the per-instance
+    /// [`CacheStats`] sum to the serial totals. That holds precisely when
+    /// every piece of mutable state the access path touches is local to
+    /// one set or one partner pair: no global PSEL or election counters,
+    /// no shared victim buffer or data store, no RNG consumed on a
+    /// data-dependent subset of accesses.
+    pub set_sharding: bool,
+    /// A strided set sample is a sound estimator of the whole cache.
+    ///
+    /// Asserts: replaying only the accesses of a pair-preserving subset of
+    /// the set space (see [`SampledTrace`](crate::SampledTrace)) against a
+    /// fresh instance reproduces, for every *selected* set, the serial
+    /// per-access outcomes — or, for a scheme with global state that opts
+    /// in anyway (DIP), a documented approximation whose error is measured
+    /// and bounded in the bench artifacts.
+    pub set_sampling: bool,
+    /// The complete replay state checkpoints and restores exactly.
+    ///
+    /// Asserts: [`CacheModel::snapshot`] returns a capture of **every**
+    /// piece of mutable state the access path reads or writes (tag store,
+    /// replacement metadata, statistics, global counters, RNG), and
+    /// [`CacheModel::restore`] of it into a fresh instance of the same
+    /// scheme and geometry makes that instance produce exactly the
+    /// [`AccessResult`] stream and [`CacheStats`] the captured instance
+    /// would have produced. Restore is exact or refused.
+    pub snapshot: bool,
 }
 
 /// A last-level cache scheme under trace-driven simulation.
@@ -130,142 +169,37 @@ pub trait CacheModel {
         }
     }
 
-    /// Runs one access expressed as an [`Access`] record.
-    fn access_record(&mut self, access: Access) -> AccessResult {
-        self.access(access.addr, access.kind)
-    }
-
-    /// Processes one pre-decoded access.
-    ///
-    /// # Contract
-    ///
-    /// Callers must only invoke this when the access was decoded at this
-    /// cache's set count and line size
-    /// ([`DecodedTrace::compatible_with`]); under that contract the
-    /// pre-extracted `set`/`line` fields are exactly what
-    /// [`access`](CacheModel::access) would re-derive, and overriding
-    /// implementations may consume them directly. The provided default is
-    /// the documented *fallback through the existing `Access` path*: it
-    /// reconstructs the line-aligned byte address and calls
-    /// [`access`](CacheModel::access), so schemes whose probe geometry
-    /// differs from the decode geometry (e.g. V-Way's tag-store lookup)
-    /// need no override and still behave identically.
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        self.access(a.address(self.geometry().line_bytes()), a.kind())
-    }
-
-    /// Replays the decoded accesses in `range`, in order.
-    ///
-    /// When the decode geometry is compatible with this cache
-    /// ([`DecodedTrace::compatible_with`]) each access goes through
-    /// [`access_decoded`](CacheModel::access_decoded); otherwise every
-    /// access falls back to the byte-address [`access`](CacheModel::access)
-    /// path, reconstructed at the *trace's* line granularity so the stream
-    /// of line addresses the cache observes is unchanged. Both arms produce
-    /// per-access outcomes identical to replaying the original `Trace`.
+    /// Replays the decoded accesses in `range`, in order, through
+    /// [`access`](CacheModel::access). Each access is rebuilt as a
+    /// line-aligned byte address at the *trace's* line granularity, so the
+    /// stream of line addresses the cache observes is exactly what the
+    /// original `Trace` would have produced at any cache geometry.
     ///
     /// # Panics
     ///
     /// Panics if `range` is out of bounds for `trace`.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: Range<usize>) {
-        if trace.compatible_with(self.geometry()) {
-            for a in trace.iter_range(range) {
-                self.access_decoded(a);
-            }
-        } else {
-            replay_decoded_via_access(self, trace, range);
+        let line_bytes = trace.geometry().line_bytes();
+        for a in trace.iter_range(range) {
+            self.access(a.address(line_bytes), a.kind());
         }
     }
 
-    /// Replays an entire decoded trace
-    /// (see [`replay_decoded`](CacheModel::replay_decoded)).
-    fn run_decoded(&mut self, trace: &DecodedTrace) {
-        self.replay_decoded(trace, 0..trace.len());
+    /// The optional replay strategies this cache opts into (see [`Caps`]
+    /// for what each bit asserts). The default declines all three: serial
+    /// cold replay is always correct, so a scheme opts in explicitly and
+    /// documents here why it refuses whatever it refuses.
+    fn capabilities(&self) -> Caps {
+        Caps::default()
     }
 
-    /// Whether set-sharded replay of this cache is equivalent to serial
-    /// replay.
-    ///
-    /// # Contract
-    ///
-    /// Returning `true` asserts: for **any** partition of the set space into
-    /// disjoint groups that keeps each set's partner `s ^ (sets/2)` in the
-    /// same group (see [`ShardedTrace`](crate::ShardedTrace)), replaying
-    /// each group's accesses in source order against a *fresh* instance of
-    /// this cache produces, per access, exactly the outcome of the serial
-    /// replay — and the per-instance [`CacheStats`](crate::CacheStats) sum
-    /// to the serial totals. That holds precisely when every piece of
-    /// mutable state the access path reads or writes is local to one set
-    /// (or one partner pair): no global PSEL or election counters, no shared
-    /// victim buffer or data store, no RNG consumed on a data-dependent
-    /// subset of accesses.
-    ///
-    /// The default is `false` — serial replay is always correct, so a
-    /// scheme must opt in explicitly, and dispatchers route anything that
-    /// declines through the existing serial path.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
-    /// Whether sampled (strided-subset) replay of this cache is a valid
-    /// estimator of its serial behaviour.
-    ///
-    /// # Contract
-    ///
-    /// Returning `true` asserts: replaying only the accesses of a
-    /// pair-preserving subset of the set space (see
-    /// [`SampledTrace`](crate::SampledTrace)) against a fresh instance of
-    /// this cache reproduces, for every *selected* set, exactly the
-    /// per-access outcomes of the serial full-trace replay — or, for a
-    /// scheme that opts in with global state (DIP), a documented
-    /// approximation whose error is measured and bounded in the bench
-    /// artifacts. Scaling the measured counts by
-    /// [`SampledTrace::scale_factor`](crate::SampledTrace::scale_factor)
-    /// then estimates the full-cache counts, with error coming only from
-    /// the extrapolation (per-set behaviour is not distorted).
-    ///
-    /// The default inherits [`supports_set_sharding`]: every piece of
-    /// state being set-local (or pair-local) is exactly the property that
-    /// makes dropped sets invisible to the kept ones, so the sharding
-    /// boundary is also the zero-distortion sampling boundary. Schemes
-    /// whose global state observes all sets (PeLIFO's election, V-Way's
-    /// shared tag/data store, STEM's shadow machinery, a global RNG) must
-    /// not opt in without their own documented story; DIP opts in
-    /// explicitly because set dueling *is* a sampling estimator (see its
-    /// policy override).
-    ///
-    /// [`supports_set_sharding`]: CacheModel::supports_set_sharding
-    fn supports_set_sampling(&self) -> bool {
-        self.supports_set_sharding()
-    }
-
-    /// Whether this cache can checkpoint and restore its complete replay
-    /// state.
-    ///
-    /// # Contract
-    ///
-    /// Returning `true` asserts: [`snapshot`](CacheModel::snapshot) returns
-    /// `Some` capture of **every** piece of mutable state the access path
-    /// reads or writes — tag store, replacement metadata, statistics, any
-    /// global counters or RNG — and [`restore`](CacheModel::restore) of
-    /// that capture into a fresh instance of the same scheme and geometry
-    /// makes the instance produce, per subsequent access, exactly the
-    /// [`AccessResult`] stream and [`CacheStats`] the captured instance
-    /// would have produced. Restore is exact or refused; there is no
-    /// approximate tier.
-    ///
-    /// The default is `false` — a cold run is always correct, so a scheme
-    /// must opt in explicitly, and dispatchers silently run anything that
-    /// declines from cold (a declined offer changes no results). Refusing
-    /// overrides document the disqualifying state they cannot capture
-    /// cheaply, mirroring the sharding/sampling boundaries above.
+    /// Shorthand for `self.capabilities().snapshot`.
     fn supports_snapshot(&self) -> bool {
-        false
+        self.capabilities().snapshot
     }
 
     /// Checkpoints the complete replay state, or `None` when the scheme
-    /// declines ([`supports_snapshot`](CacheModel::supports_snapshot) is
-    /// `false`).
+    /// declines ([`Caps::snapshot`] is `false`).
     ///
     /// The capture is deep: the snapshot stays valid however the live
     /// cache is mutated afterwards.
@@ -291,27 +225,10 @@ pub trait CacheModel {
     }
 }
 
-/// The documented incompatible-geometry fallback for
-/// [`CacheModel::replay_decoded`]: re-materializes each access as a
-/// line-aligned byte address at the *trace's* line granularity and feeds it
-/// to [`CacheModel::access`], so the stream of line addresses the cache
-/// observes is exactly what the original `Trace` would have produced.
-/// Scheme-specific `replay_decoded` overrides delegate their incompatible
-/// arm here so the fallback semantics stay in one place.
-pub fn replay_decoded_via_access<C: CacheModel + ?Sized>(
-    cache: &mut C,
-    trace: &DecodedTrace,
-    range: Range<usize>,
-) {
-    let line_bytes = trace.geometry().line_bytes();
-    for a in trace.iter_range(range) {
-        cache.access(a.address(line_bytes), a.kind());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Access;
 
     #[test]
     fn result_predicates() {
@@ -372,7 +289,7 @@ mod tests {
         assert_eq!(cache.stats().accesses(), 10);
         cache.reset_stats();
         assert_eq!(cache.stats().accesses(), 0);
-        let r = cache.access_record(Access::write(Address::new(0)));
+        let r = cache.access(Address::new(0), AccessKind::Write);
         assert!(r.is_miss());
     }
 
@@ -388,24 +305,32 @@ mod tests {
             stats: CacheStats::default(),
             geom,
         });
-        cache.run_decoded(&decoded);
+        cache.replay_decoded(&decoded, 0..decoded.len());
         assert_eq!(cache.stats().accesses(), 100);
 
         cache.reset_stats();
         cache.replay_decoded(&decoded, 10..30);
         assert_eq!(cache.stats().accesses(), 20);
 
-        // Incompatible geometry exercises the fallback arm.
+        // The same loop serves a cache of another geometry.
         let mut small = NullCache {
             stats: CacheStats::default(),
             geom: CacheGeometry::new(64, 4, 64).unwrap(),
         };
         assert!(!decoded.compatible_with(small.geom));
-        small.run_decoded(&decoded);
+        small.replay_decoded(&decoded, 0..decoded.len());
         assert_eq!(small.stats.accesses(), 100);
+    }
 
-        let r = cache.access_decoded(decoded.get(0));
-        assert!(r.is_miss());
+    #[test]
+    fn capabilities_default_to_declining_everything() {
+        let cache = NullCache {
+            stats: CacheStats::default(),
+            geom: CacheGeometry::micro2010_l2(),
+        };
+        assert_eq!(cache.capabilities(), Caps::default());
+        assert!(!cache.supports_snapshot());
+        assert!(cache.snapshot().is_none());
     }
 
     #[test]

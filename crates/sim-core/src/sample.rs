@@ -24,12 +24,12 @@
 //! miss/writeback counts multiply by [`scale_factor`], and MPKI denominators
 //! come from the *source* trace's measured range. Which schemes may replay a
 //! sample at all is a per-scheme capability
-//! ([`CacheModel::supports_set_sampling`]) mirroring the sharding boundary:
+//! ([`Caps::set_sampling`]) mirroring the sharding boundary:
 //! per-set schemes sample without distortion, while schemes whose global
 //! state observes all sets either refuse or document an approximation.
 //!
 //! [`scale_factor`]: SampledTrace::scale_factor
-//! [`CacheModel::supports_set_sampling`]: crate::CacheModel::supports_set_sampling
+//! [`Caps::set_sampling`]: crate::Caps::set_sampling
 
 use crate::{CacheGeometry, DecodedTrace, SplitMix64};
 

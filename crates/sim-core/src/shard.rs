@@ -14,13 +14,13 @@
 //! spill-based scheme. Purely per-set schemes are indifferent to how sets are
 //! grouped, so folding costs them nothing; keeping partners co-resident makes
 //! the same partition valid for pair-coupled schemes too. One plan serves
-//! every scheme that reports [`supports_set_sharding`].
+//! every scheme that reports [`Caps::set_sharding`].
 //!
 //! Schemes with *cross-set* state (a global PSEL, election counters, a shared
 //! victim buffer or data store, a global RNG consumed on some accesses) are
 //! order-sensitive under this interleaving and must keep the serial path;
 //! that boundary is declared per scheme via
-//! [`CacheModel::supports_set_sharding`](crate::CacheModel::supports_set_sharding).
+//! [`CacheModel::capabilities`](crate::CacheModel::capabilities).
 //!
 //! Bucketing is a stable one-pass scatter: each shard's compacted
 //! `DecodedTrace` preserves the source order of its accesses, and the
@@ -28,7 +28,7 @@
 //! consumers translate global positions — a warmup boundary, a profiling
 //! period — back onto each shard via [`TraceShard::split_before`].
 //!
-//! [`supports_set_sharding`]: crate::CacheModel::supports_set_sharding
+//! [`Caps::set_sharding`]: crate::Caps::set_sharding
 
 use std::ops::Range;
 

@@ -1,9 +1,7 @@
 //! Property tests for the sim-core substrate, driven by the in-repo
 //! deterministic harness (`stem_sim_core::prop`).
 
-use stem_sim_core::{
-    io, prop, Access, AccessKind, Address, CacheGeometry, SaturatingCounter, Trace,
-};
+use stem_sim_core::{prop, Access, AccessKind, Address, CacheGeometry, SaturatingCounter, Trace};
 
 /// Trace serialization round-trips arbitrary traces exactly — including
 /// zero instruction gaps.
@@ -22,8 +20,8 @@ fn trace_io_roundtrip() {
             })
             .collect();
         let mut buf = Vec::new();
-        io::write_trace(&mut buf, &trace).expect("in-memory write cannot fail");
-        let back = io::read_trace(buf.as_slice()).expect("roundtrip read");
+        stem_trace_io::write_binary(&mut buf, &trace).expect("in-memory write cannot fail");
+        let back = stem_trace_io::read_binary(buf.as_slice()).expect("roundtrip read");
         assert_eq!(back, trace);
     });
 }

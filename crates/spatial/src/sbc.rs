@@ -18,9 +18,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
-    SimError,
+    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats, Caps,
+    InvariantAuditor, LineAddr, SetFrames, SimError,
 };
 
 use crate::{AssociationTable, DestinationSetSelector};
@@ -279,11 +278,13 @@ impl SbcCache {
             }
         }
     }
+}
 
-    /// The single lookup/balancing path behind both access entry points:
-    /// the line address and its home set are already extracted.
-    #[inline]
-    fn access_at(&mut self, line: LineAddr, home: usize, write: bool) -> AccessResult {
+impl CacheModel for SbcCache {
+    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
+        let line = addr.line(self.geom.line_bytes());
+        let home = self.geom.set_index_of_line(line);
+        let write = kind.is_write();
         // Probe the home set (foreign entries there can never match a
         // home-set address, so this finds native blocks only).
         if let Some(way) = self.find_way(home, line) {
@@ -336,35 +337,6 @@ impl SbcCache {
             AccessResult::MissLocal
         }
     }
-}
-
-impl CacheModel for SbcCache {
-    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-        let line = addr.line(self.geom.line_bytes());
-        let home = self.geom.set_index_of_line(line);
-        self.access_at(line, home, kind.is_write())
-    }
-
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        debug_assert_eq!(a.set as usize, self.geom.set_index_of_line(a.line));
-        self.access_at(a.line, a.set as usize, a.write)
-    }
-
-    /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// [`access_at`](Self::access_at) with static dispatch, instead of one
-    /// virtual `access_decoded` call per access through the trait default.
-    fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
-        if !trace.compatible_with(self.geom) {
-            return replay_decoded_via_access(self, trace, range);
-        }
-        let sets = trace.set_indices();
-        let lines = trace.line_addrs();
-        for i in range {
-            let line = LineAddr::new(lines[i]);
-            debug_assert_eq!(sets[i] as usize, self.geom.set_index_of_line(line));
-            self.access_at(line, sets[i] as usize, trace.is_write(i));
-        }
-    }
 
     fn stats(&self) -> &CacheStats {
         &self.stats
@@ -382,33 +354,30 @@ impl CacheModel for SbcCache {
         "SBC"
     }
 
-    /// NOT sharding-safe: the association table couples *dynamically chosen*
-    /// set pairs, and the DSS candidate search plus coupling/decoupling
-    /// decisions read state across arbitrary sets, so the pairing a set ends
-    /// up with depends on the global access interleaving. Serial path only
-    /// (explicit for contrast with the static variant, which is safe).
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
+    /// NOT sharding-safe: the association table couples *dynamically
+    /// chosen* set pairs, and the DSS candidate search plus
+    /// coupling/decoupling decisions read state across arbitrary sets, so
+    /// the pairing a set ends up with depends on the global access
+    /// interleaving (the static variant, whose pairs are fixed, is safe).
+    ///
     /// NOT sampling-safe: the DSS candidate search ranges over *all*
     /// decoupled sets when picking an association partner, so removing
     /// sets changes which pairings exist at all — a sampled SBC couples
     /// different sets than the full cache, not the same sets in a
-    /// different order. Explicit refusal.
-    fn supports_set_sampling(&self) -> bool {
-        false
-    }
-
+    /// different order.
+    ///
     /// NOT snapshotable (yet): the dynamic association table (who is
     /// coupled to whom, in which role) plus the DSS saturation machinery
     /// would have to be captured together and restored consistently with
     /// every foreign block in the frames; nothing about that is per-set
-    /// data the snapshot format carries. The static variant — whose
-    /// pairings are design-time constants — snapshots instead; dynamic
-    /// SBC declines and runs cold.
-    fn supports_snapshot(&self) -> bool {
-        false
+    /// data the snapshot format carries. The static variant snapshots
+    /// instead; dynamic SBC runs cold.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: false,
+            set_sampling: false,
+            snapshot: false,
+        }
     }
 }
 

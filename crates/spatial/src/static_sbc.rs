@@ -11,9 +11,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, PolicyState,
-    SetFrames, SimError, Snapshot, SnapshotError,
+    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats, Caps,
+    InvariantAuditor, LineAddr, PolicyState, SetFrames, SimError, Snapshot, SnapshotError,
 };
 
 /// The non-frame mutable state a static-SBC snapshot carries: per-set
@@ -113,11 +112,13 @@ impl StaticSbcCache {
             self.stats.record_writeback();
         }
     }
+}
 
-    /// The single lookup/spill path behind both access entry points: the
-    /// line address and its home set are already extracted.
-    #[inline]
-    fn access_at(&mut self, line: LineAddr, home: usize, write: bool) -> AccessResult {
+impl CacheModel for StaticSbcCache {
+    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
+        let line = addr.line(self.geom.line_bytes());
+        let home = self.geom.set_index_of_line(line);
+        let write = kind.is_write();
         let partner = self.partner_of(home);
 
         if let Some(way) = self.find_way(home, line) {
@@ -189,35 +190,6 @@ impl StaticSbcCache {
             AccessResult::MissLocal
         }
     }
-}
-
-impl CacheModel for StaticSbcCache {
-    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-        let line = addr.line(self.geom.line_bytes());
-        let home = self.geom.set_index_of_line(line);
-        self.access_at(line, home, kind.is_write())
-    }
-
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        debug_assert_eq!(a.set as usize, self.geom.set_index_of_line(a.line));
-        self.access_at(a.line, a.set as usize, a.write)
-    }
-
-    /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// [`access_at`](Self::access_at) with static dispatch, instead of one
-    /// virtual `access_decoded` call per access through the trait default.
-    fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
-        if !trace.compatible_with(self.geom) {
-            return replay_decoded_via_access(self, trace, range);
-        }
-        let sets = trace.set_indices();
-        let lines = trace.line_addrs();
-        for i in range {
-            let line = LineAddr::new(lines[i]);
-            debug_assert_eq!(sets[i] as usize, self.geom.set_index_of_line(line));
-            self.access_at(line, sets[i] as usize, trace.is_write(i));
-        }
-    }
 
     fn stats(&self) -> &CacheStats {
         &self.stats
@@ -235,19 +207,21 @@ impl CacheModel for StaticSbcCache {
         "SBC-static"
     }
 
-    /// Sharding-safe under the pair-folded partition: every piece of state —
-    /// saturation levels, spill decisions, partner probes and remote fills —
-    /// lives inside the static partner pair `(s, s ^ sets/2)`, and
-    /// [`ShardedTrace`](stem_sim_core::ShardedTrace) never splits a pair
-    /// across shards.
-    fn supports_set_sharding(&self) -> bool {
-        true
-    }
-
+    /// Sharding- and sampling-safe under the pair-folded partition: every
+    /// piece of state — saturation levels, spill decisions, partner probes
+    /// and remote fills — lives inside the static partner pair
+    /// `(s, s ^ sets/2)`, and neither
+    /// [`ShardedTrace`](stem_sim_core::ShardedTrace) nor
+    /// [`SampledTrace`](stem_sim_core::SampledTrace) ever splits a pair.
+    ///
     /// Snapshotable: the complete mutable state is `(frames, ranks, sat,
     /// stats)` — all plain per-set data with no handles or derived caches.
-    fn supports_snapshot(&self) -> bool {
-        true
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: true,
+            set_sampling: true,
+            snapshot: true,
+        }
     }
 
     fn snapshot(&self) -> Option<Snapshot> {

@@ -9,9 +9,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, PolicyState,
-    SetFrames, SimError, Snapshot, SnapshotError,
+    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats, Caps,
+    InvariantAuditor, LineAddr, PolicyState, SetFrames, SimError, Snapshot, SnapshotError,
 };
 
 /// One fully-associative victim-buffer entry.
@@ -125,11 +124,13 @@ impl VictimCache {
             .fill(set, way, incoming.line.raw(), incoming.dirty, false);
         self.ranks[set].touch_mru(way);
     }
+}
 
-    /// The single lookup/buffer path behind both access entry points: the
-    /// line address and its home set are already extracted.
-    #[inline]
-    fn access_at(&mut self, line: LineAddr, set: usize, write: bool) -> AccessResult {
+impl CacheModel for VictimCache {
+    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
+        let line = addr.line(self.geom.line_bytes());
+        let set = self.geom.set_index_of_line(line);
+        let write = kind.is_write();
         if let Some(way) = self.find_way(set, line) {
             self.stats.record_local_hit();
             self.ranks[set].touch_mru(way);
@@ -157,35 +158,6 @@ impl VictimCache {
         self.install(set, Line { line, dirty: write });
         AccessResult::MissCooperative
     }
-}
-
-impl CacheModel for VictimCache {
-    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-        let line = addr.line(self.geom.line_bytes());
-        let set = self.geom.set_index_of_line(line);
-        self.access_at(line, set, kind.is_write())
-    }
-
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        debug_assert_eq!(a.set as usize, self.geom.set_index_of_line(a.line));
-        self.access_at(a.line, a.set as usize, a.write)
-    }
-
-    /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// [`access_at`](Self::access_at) with static dispatch, instead of one
-    /// virtual `access_decoded` call per access through the trait default.
-    fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
-        if !trace.compatible_with(self.geom) {
-            return replay_decoded_via_access(self, trace, range);
-        }
-        let sets = trace.set_indices();
-        let lines = trace.line_addrs();
-        for i in range {
-            let line = LineAddr::new(lines[i]);
-            debug_assert_eq!(sets[i] as usize, self.geom.set_index_of_line(line));
-            self.access_at(line, sets[i] as usize, trace.is_write(i));
-        }
-    }
 
     fn stats(&self) -> &CacheStats {
         &self.stats
@@ -203,28 +175,25 @@ impl CacheModel for VictimCache {
         "LRU+VC"
     }
 
-    /// NOT sharding-safe: the victim buffer is one global fully-associative
-    /// structure shared by evictions from *every* set, so its contents (and
-    /// therefore victim-hit outcomes) depend on the cross-set eviction
-    /// interleaving. Serial path only.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
+    /// NOT sharding-safe: the victim buffer is one global
+    /// fully-associative structure shared by evictions from *every* set,
+    /// so its contents (and therefore victim-hit outcomes) depend on the
+    /// cross-set eviction interleaving.
+    ///
     /// NOT sampling-safe: dropped sets stop contributing evictions to the
-    /// shared FA victim buffer, so the kept sets see less buffer pressure
-    /// than they would serially and their victim-hit rate is inflated.
-    /// Explicit refusal.
-    fn supports_set_sampling(&self) -> bool {
-        false
-    }
-
-    /// Snapshotable even though it refuses sharding/sampling: those
-    /// boundaries are about *partial* replay, but a snapshot captures the
-    /// global victim buffer whole — `(frames, ranks, victims, stats)` is
-    /// the complete mutable state, all plain data.
-    fn supports_snapshot(&self) -> bool {
-        true
+    /// shared buffer, so the kept sets see less buffer pressure than they
+    /// would serially and their victim-hit rate is inflated.
+    ///
+    /// Snapshotable even so: those boundaries are about *partial* replay,
+    /// but a snapshot captures the global victim buffer whole —
+    /// `(frames, ranks, victims, stats)` is the complete mutable state, all
+    /// plain data.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: false,
+            set_sampling: false,
+            snapshot: true,
+        }
     }
 
     fn snapshot(&self) -> Option<Snapshot> {

@@ -14,9 +14,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
-    SimError,
+    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats, Caps,
+    InvariantAuditor, LineAddr, SetFrames, SimError,
 };
 
 /// Tuning parameters for [`VWayCache`].
@@ -317,28 +316,11 @@ impl VWayCache {
         addr: Address,
         kind: AccessKind,
     ) -> Result<AccessResult, SimError> {
+        // V-Way's tag store is wider than the data store (`tag_data_ratio
+        // x ways` entries per set) but indexes its sets identically.
         let line = addr.line(self.geom.line_bytes());
         let set = self.geom.set_index_of_line(line);
-        self.try_access_at(line, set, kind.is_write())
-    }
-
-    /// The lookup/replacement path behind [`try_access`](Self::try_access)
-    /// and the decoded replay loop: line address and *data-geometry* set
-    /// index are already extracted. V-Way's tag store is wider than the
-    /// data store (`tag_data_ratio x ways` entries per set) but indexes its
-    /// sets identically, so the pre-decoded set index addresses the tag
-    /// probe directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Audit`] if the tag/data pointer bijection is
-    /// broken mid-access (see [`try_access`](Self::try_access)).
-    fn try_access_at(
-        &mut self,
-        line: LineAddr,
-        set: usize,
-        write: bool,
-    ) -> Result<AccessResult, SimError> {
+        let write = kind.is_write();
         if let Some(way) = self.find_tag_way(set, line) {
             self.stats.record_local_hit();
             self.tag_ranks[set].touch_mru(way);
@@ -433,41 +415,6 @@ impl CacheModel for VWayCache {
         }
     }
 
-    /// V-Way's tag store is shaped differently from the data geometry a
-    /// `DecodedTrace` is decoded against (`tag_data_ratio` x more entries
-    /// per set, decoupled from the global data store), but it *indexes*
-    /// sets identically — same set count, same line size — so the
-    /// pre-decoded `set`/`line` pair drives the tag probe directly. When
-    /// the decode geometry is incompatible, the documented fallback through
-    /// the byte-address [`access`](CacheModel::access) path applies (the
-    /// trait-default behaviour, exercised by the differential tests).
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        debug_assert_eq!(a.set as usize, self.geom.set_index_of_line(a.line));
-        match self.try_access_at(a.line, a.set as usize, a.write) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// [`try_access_at`](Self::try_access_at) with static dispatch, instead
-    /// of one virtual `access_decoded` call per access through the trait
-    /// default.
-    fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
-        if !trace.compatible_with(self.geom) {
-            return replay_decoded_via_access(self, trace, range);
-        }
-        let sets = trace.set_indices();
-        let lines = trace.line_addrs();
-        for i in range {
-            let line = LineAddr::new(lines[i]);
-            debug_assert_eq!(sets[i] as usize, self.geom.set_index_of_line(line));
-            if let Err(e) = self.try_access_at(line, sets[i] as usize, trace.is_write(i)) {
-                panic!("{e}");
-            }
-        }
-    }
-
     fn stats(&self) -> &CacheStats {
         &self.stats
     }
@@ -484,33 +431,29 @@ impl CacheModel for VWayCache {
         "V-Way"
     }
 
-    /// NOT sharding-safe: the data store (frames, free list, reuse counters,
-    /// global replacement hand) is shared by every set, so allocation and
-    /// global-replacement outcomes depend on the cross-set fill
-    /// interleaving. Serial path only.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
+    /// NOT sharding-safe: the data store (frames, free list, reuse
+    /// counters, global replacement hand) is shared by every set, so
+    /// allocation and global-replacement outcomes depend on the cross-set
+    /// fill interleaving.
+    ///
     /// NOT sampling-safe either, and for a stronger reason than ordering:
     /// decoupled tag/data means dropped sets free up *data frames* the
     /// kept sets would have competed for, so a sampled replay simulates a
     /// cache with the full data store but a fraction of the demand —
     /// systematically underestimating misses, not just reordering them.
-    /// Explicit refusal; the exact path is the only valid one.
-    fn supports_set_sampling(&self) -> bool {
-        false
-    }
-
+    ///
     /// NOT snapshotable (yet): the decoupled global data store — forward
     /// and reverse tag↔frame pointer maps, the free list, per-frame reuse
     /// counters, and the global replacement hand — would all have to be
     /// captured and re-wired consistently, a deep copy of the whole cache
     /// rather than the flat `SetFrames + policy` shape the snapshot format
-    /// carries. Until someone does that work and proves it exact, V-Way
-    /// declines and every dispatcher runs it cold.
-    fn supports_snapshot(&self) -> bool {
-        false
+    /// carries. V-Way runs cold.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: false,
+            set_sampling: false,
+            snapshot: false,
+        }
     }
 }
 

@@ -2,9 +2,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
-    SimError, SplitMix64,
+    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats, Caps,
+    InvariantAuditor, LineAddr, SetFrames, SimError, SplitMix64,
 };
 use stem_spatial::{AssociationTable, DestinationSetSelector};
 
@@ -362,20 +361,7 @@ impl StemCache {
     ) -> Result<AccessResult, SimError> {
         let line = addr.line(self.geom.line_bytes());
         let home = self.geom.set_index_of_line(line);
-        self.try_access_at(line, home, kind.is_write())
-    }
-
-    /// The single controller path behind both access entry points: the
-    /// line address and its home set are already extracted. The shadow-set
-    /// signature is still derived internally (it is a function of the line
-    /// address alone).
-    #[inline]
-    fn try_access_at(
-        &mut self,
-        line: LineAddr,
-        home: usize,
-        write: bool,
-    ) -> Result<AccessResult, SimError> {
+        let write = kind.is_write();
         // 1. Probe the home set (native blocks only: CC blocks stored here
         //    belong to the partner's address space and cannot tag-match).
         if let Some(way) = self.find_way(home, line) {
@@ -444,33 +430,6 @@ impl CacheModel for StemCache {
         }
     }
 
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        debug_assert_eq!(a.set as usize, self.geom.set_index_of_line(a.line));
-        match self.try_access_at(a.line, a.set as usize, a.write) {
-            Ok(r) => r,
-            Err(e) => panic!("STEM internal state corrupted: {e}"),
-        }
-    }
-
-    /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// [`try_access_at`](Self::try_access_at) with static dispatch, instead
-    /// of one virtual `access_decoded` call per access through the trait
-    /// default.
-    fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
-        if !trace.compatible_with(self.geom) {
-            return replay_decoded_via_access(self, trace, range);
-        }
-        let sets = trace.set_indices();
-        let lines = trace.line_addrs();
-        for i in range {
-            let line = LineAddr::new(lines[i]);
-            debug_assert_eq!(sets[i] as usize, self.geom.set_index_of_line(line));
-            if let Err(e) = self.try_access_at(line, sets[i] as usize, trace.is_write(i)) {
-                panic!("STEM internal state corrupted: {e}");
-            }
-        }
-    }
-
     fn stats(&self) -> &CacheStats {
         &self.stats
     }
@@ -490,35 +449,32 @@ impl CacheModel for StemCache {
     /// NOT sharding-safe: STEM elects donor/receiver couplings from a
     /// *global* ranking of per-set capacity demand (the coupling heap) on a
     /// global epoch clock, and its set-dueling monitor aggregates misses
-    /// across leader sets — both make every set's coupling partner depend on
-    /// the cross-set access interleaving. Serial path only.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
+    /// across leader sets — both make every set's coupling partner depend
+    /// on the cross-set access interleaving.
+    ///
     /// NOT sampling-safe: the shadow-directory monitor ranks *every* set's
     /// capacity demand to elect donor/receiver couplings, so a sampled
     /// population elects different couplings (a set's donor may simply not
     /// be in the sample), and the set-dueling miss aggregation shifts with
     /// the surviving leader subset. Unlike DIP — whose only global state is
     /// the duel itself — STEM's couplings *move capacity between sets*, so
-    /// the distortion is structural, not just a mistrained knob. Explicit
-    /// refusal; a sampled STEM story would need its own validated monitor.
-    fn supports_set_sampling(&self) -> bool {
-        false
-    }
-
+    /// the distortion is structural, not just a mistrained knob.
+    ///
     /// NOT snapshotable (yet): a faithful checkpoint would have to freeze
     /// the shadow-set directory and SCDM saturating counters, the global
-    /// donor/receiver coupling heap with its epoch clock mid-epoch, and
-    /// the set-dueling monitor's leader bookkeeping — and restore them in
+    /// donor/receiver coupling heap with its epoch clock mid-epoch, and the
+    /// set-dueling monitor's leader bookkeeping — and restore them in
     /// perfect agreement with every remotely-filled block in the frames.
     /// That is a whole-machine deep copy, not the `SetFrames + policy
     /// state` shape snapshots carry, and getting it subtly wrong would
-    /// silently change coupling elections. STEM declines; every
-    /// dispatcher runs it cold, which is always correct.
-    fn supports_snapshot(&self) -> bool {
-        false
+    /// silently change coupling elections. STEM runs cold, which is always
+    /// correct.
+    fn capabilities(&self) -> Caps {
+        Caps {
+            set_sharding: false,
+            set_sampling: false,
+            snapshot: false,
+        }
     }
 }
 

@@ -4,8 +4,8 @@
 //!
 //! # Formats
 //!
-//! **Binary** (`STEMTRC` + version digit, little-endian; version 1 is
-//! bit-compatible with [`stem_sim_core::io`]'s `STEMTRC1`):
+//! **Binary** (`STEMTRC` + version digit, little-endian; a fixed 16-byte
+//! record keeps the container trivially seekable):
 //!
 //! ```text
 //! magic    7 bytes   "STEMTRC"
@@ -61,18 +61,15 @@
 
 use std::error::Error;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
-use stem_sim_core::{
-    Access, AccessKind, Address, CacheGeometry, DecodedTrace, SimError, Trace, TraceError,
-};
+use stem_sim_core::{Access, AccessKind, Address, CacheGeometry, DecodedTrace, Trace};
 
 /// The 7-byte magic shared by every binary container version.
 pub const BINARY_MAGIC: &[u8; 7] = b"STEMTRC";
 
-/// The binary container version this crate reads and writes. Version 1 is
-/// bit-compatible with `stem_sim_core::io`'s `STEMTRC1` format.
+/// The binary container version this crate reads and writes.
 pub const BINARY_VERSION: u8 = 1;
 
 /// The required first line of the text form (its version marker).
@@ -110,7 +107,7 @@ impl fmt::Display for TraceFormat {
 pub enum IngestError {
     /// The underlying reader failed (truncation surfaces as
     /// `UnexpectedEof`).
-    Io(io::Error),
+    Io(std::io::Error),
     /// The first 8 bytes are not `STEMTRC` + a version digit.
     BadMagic([u8; 8]),
     /// The container (or text header) declares a version this crate does
@@ -168,29 +165,17 @@ impl Error for IngestError {
     }
 }
 
-impl From<io::Error> for IngestError {
-    fn from(e: io::Error) -> Self {
+impl From<std::io::Error> for IngestError {
+    fn from(e: std::io::Error) -> Self {
         IngestError::Io(e)
     }
 }
 
-impl From<IngestError> for io::Error {
+impl From<IngestError> for std::io::Error {
     fn from(e: IngestError) -> Self {
         match e {
             IngestError::Io(inner) => inner,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
-    }
-}
-
-impl From<IngestError> for SimError {
-    fn from(e: IngestError) -> Self {
-        match e {
-            IngestError::Io(inner) => SimError::Trace(TraceError::Io(inner)),
-            other => SimError::Trace(TraceError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                other.to_string(),
-            ))),
+            other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
         }
     }
 }
@@ -199,7 +184,7 @@ impl IngestError {
     /// Whether this error denotes format corruption (as opposed to a
     /// transport failure from the underlying reader).
     pub fn is_corruption(&self) -> bool {
-        !matches!(self, IngestError::Io(e) if e.kind() != io::ErrorKind::UnexpectedEof)
+        !matches!(self, IngestError::Io(e) if e.kind() != std::io::ErrorKind::UnexpectedEof)
     }
 }
 
@@ -214,14 +199,23 @@ pub fn detect_format(bytes: &[u8]) -> TraceFormat {
     }
 }
 
-/// Writes `trace` in the version-1 binary container (bit-compatible with
-/// `stem_sim_core::io::write_trace`).
+/// Writes `trace` in the version-1 binary container. Every field of every
+/// record round-trips bit-exactly through [`read_binary`], including
+/// `inst_gap == 0`. Pass `&mut writer` to keep ownership of the writer.
 ///
 /// # Errors
 ///
 /// Propagates any I/O error from the writer.
-pub fn write_binary<W: Write>(w: W, trace: &Trace) -> io::Result<()> {
-    stem_sim_core::io::write_trace(w, trace)
+pub fn write_binary<W: Write>(mut w: W, trace: &Trace) -> std::io::Result<()> {
+    w.write_all(BINARY_MAGIC)?;
+    w.write_all(&[b'0' + BINARY_VERSION])?;
+    w.write_all(&(trace.len() as u64).to_le_bytes())?;
+    for a in trace {
+        w.write_all(&a.addr.raw().to_le_bytes())?;
+        w.write_all(&a.inst_gap.to_le_bytes())?;
+        w.write_all(&[u8::from(a.kind.is_write()), 0, 0, 0])?;
+    }
+    Ok(())
 }
 
 /// Reads a binary-container trace from `r`, validating magic, version,
@@ -284,7 +278,7 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<Trace, IngestError> {
 /// # Errors
 ///
 /// Propagates any I/O error from the writer.
-pub fn write_text<W: Write>(mut w: W, trace: &Trace) -> io::Result<()> {
+pub fn write_text<W: Write>(mut w: W, trace: &Trace) -> std::io::Result<()> {
     writeln!(w, "{TEXT_HEADER}")?;
     for a in trace {
         let kind = if a.kind.is_write() { 'W' } else { 'R' };
@@ -431,8 +425,129 @@ pub fn load_decoded(path: &Path, geom: CacheGeometry) -> Result<DecodedTrace, In
     Ok(DecodedTrace::decode(&trace, geom))
 }
 
+/// Tests of the STEMTRC binary container through [`read_binary`] and
+/// [`write_binary`]: exact round trips, the 16-byte record, and typed
+/// rejection of corrupt headers and records.
+#[cfg(test)]
+mod io {
+    mod tests {
+        use std::io;
+
+        use crate::*;
+
+        fn sample() -> Trace {
+            let mut t = Trace::new();
+            t.push(Access::read(Address::new(0x40)).with_inst_gap(3));
+            t.push(Access::write(Address::new(0x1234_5678)).with_inst_gap(1));
+            t.push(Access::read(Address::new((1 << 44) - 64)));
+            t
+        }
+
+        fn written(t: &Trace) -> Vec<u8> {
+            let mut buf = Vec::new();
+            write_binary(&mut buf, t).unwrap();
+            buf
+        }
+
+        #[test]
+        fn roundtrip_preserves_trace() {
+            let t = sample();
+            assert_eq!(read_binary(written(&t).as_slice()).unwrap(), t);
+        }
+
+        #[test]
+        fn zero_inst_gap_roundtrips_exactly() {
+            // Built literally: the `with_inst_gap` builder clamps to 1 by
+            // design, but the container itself represents zero gaps.
+            let mut t = Trace::new();
+            t.push(Access {
+                addr: Address::new(0x80),
+                kind: AccessKind::Read,
+                inst_gap: 0,
+            });
+            t.push(Access {
+                addr: Address::new(0xC0),
+                kind: AccessKind::Write,
+                inst_gap: 0,
+            });
+            let back = read_binary(written(&t).as_slice()).unwrap();
+            assert_eq!(back, t);
+            assert_eq!(back.as_slice()[0].inst_gap, 0);
+            assert_eq!(back.as_slice()[1].inst_gap, 0);
+        }
+
+        #[test]
+        fn empty_trace_roundtrips() {
+            let t = Trace::new();
+            assert_eq!(read_binary(written(&t).as_slice()).unwrap(), t);
+        }
+
+        #[test]
+        fn bad_magic_rejected() {
+            let err = read_binary(&b"NOTATRCE\0\0\0\0\0\0\0\0"[..]).unwrap_err();
+            assert!(matches!(err, IngestError::BadMagic(m) if &m == b"NOTATRCE"));
+            assert!(err.is_corruption());
+        }
+
+        #[test]
+        fn truncated_records_rejected() {
+            let mut buf = written(&sample());
+            buf.truncate(buf.len() - 5);
+            let err = read_binary(buf.as_slice()).unwrap_err();
+            assert!(matches!(&err, IngestError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof));
+            assert!(err.is_corruption());
+        }
+
+        #[test]
+        fn bad_kind_byte_rejected() {
+            let mut buf = written(&sample());
+            buf[8 + 8 + 12] = 9; // magic + count + first record's kind byte
+            let err = read_binary(buf.as_slice()).unwrap_err();
+            assert!(matches!(err, IngestError::BadKind(9)));
+        }
+
+        #[test]
+        fn absurd_count_rejected_without_allocating() {
+            // A corrupted header declaring u64::MAX records must surface as
+            // a typed error, not an allocator abort or a hang.
+            let mut buf = b"STEMTRC1".to_vec();
+            buf.extend_from_slice(&u64::MAX.to_le_bytes());
+            let err = read_binary(buf.as_slice()).unwrap_err();
+            assert!(matches!(err, IngestError::TooLarge(c) if c == u64::MAX));
+            assert!(err.is_corruption());
+        }
+
+        #[test]
+        fn large_but_plausible_count_fails_with_eof_not_oom() {
+            // 2^21 declared records with no payload: the capped
+            // pre-allocation must not reserve 32 MiB up front, and the read
+            // fails cleanly.
+            let mut buf = b"STEMTRC1".to_vec();
+            buf.extend_from_slice(&(1u64 << 21).to_le_bytes());
+            let err = read_binary(buf.as_slice()).unwrap_err();
+            assert!(matches!(&err, IngestError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof));
+        }
+
+        #[test]
+        fn errors_convert_to_io_error_for_legacy_callers() {
+            let err: io::Error = read_binary(&b"NOTATRCE\0\0\0\0\0\0\0\0"[..])
+                .unwrap_err()
+                .into();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+
+        #[test]
+        fn size_is_16_bytes_per_record() {
+            let t = sample();
+            assert_eq!(written(&t).len(), 16 + 16 * t.len());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::io;
+
     use super::*;
 
     fn sample() -> Trace {
@@ -455,18 +570,23 @@ mod tests {
         assert_eq!(read_binary(buf.as_slice()).unwrap(), t);
     }
 
+    /// Pins the version-1 on-disk layout byte for byte: 8-byte magic, LE
+    /// record count, then one 16-byte `{addr, inst_gap, kind, pad}` record
+    /// per access. Traces written by older builds must keep reading.
     #[test]
-    fn binary_matches_sim_core_format_bit_for_bit() {
-        // Version 1 is the STEMTRC1 format: both writers produce the same
-        // bytes and both readers accept either's output.
-        let t = sample();
-        let mut ours = Vec::new();
-        write_binary(&mut ours, &t).unwrap();
-        let mut theirs = Vec::new();
-        stem_sim_core::io::write_trace(&mut theirs, &t).unwrap();
-        assert_eq!(ours, theirs);
-        assert_eq!(stem_sim_core::io::read_trace(ours.as_slice()).unwrap(), t);
-        assert_eq!(read_binary(theirs.as_slice()).unwrap(), t);
+    fn binary_v1_layout_is_pinned_golden_bytes() {
+        let mut buf = Vec::new();
+        write_binary(&mut buf, &sample()).unwrap();
+        #[rustfmt::skip]
+        let golden: [u8; 64] = [
+            b'S', b'T', b'E', b'M', b'T', b'R', b'C', b'1',
+            3, 0, 0, 0, 0, 0, 0, 0,
+            0x40, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
+            0x78, 0x56, 0x34, 0x12, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0,
+            0xc0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(buf, golden);
+        assert_eq!(read_binary(&golden[..]).unwrap(), sample());
     }
 
     #[test]
@@ -577,9 +697,22 @@ mod tests {
     fn errors_convert_to_the_workspace_families() {
         let io_err: io::Error = IngestError::UnsupportedVersion(3).into();
         assert_eq!(io_err.kind(), io::ErrorKind::InvalidData);
-        let sim: SimError = IngestError::MissingHeader.into();
-        assert!(matches!(sim, SimError::Trace(_)));
-        assert!(sim.to_string().contains("header"));
+        let io_err: io::Error = IngestError::MissingHeader.into();
+        assert!(io_err.to_string().contains("header"));
+        let inner = io::Error::new(io::ErrorKind::PermissionDenied, "no");
+        let io_err: io::Error = IngestError::Io(inner).into();
+        assert_eq!(io_err.kind(), io::ErrorKind::PermissionDenied);
+    }
+
+    #[test]
+    fn corruption_classification_separates_transport_failures() {
+        assert!(IngestError::BadMagic(*b"NOTATRCE").is_corruption());
+        assert!(IngestError::BadKind(9).is_corruption());
+        assert!(IngestError::TooLarge(u64::MAX).is_corruption());
+        let eof = io::Error::new(io::ErrorKind::UnexpectedEof, "eof");
+        assert!(IngestError::Io(eof).is_corruption());
+        let denied = io::Error::new(io::ErrorKind::PermissionDenied, "no");
+        assert!(!IngestError::Io(denied).is_corruption());
     }
 
     #[test]

@@ -1549,15 +1549,19 @@ fn stem_matches_reference() {
 }
 
 // ---------------------------------------------------------------------------
-// Decoded-stream differentials: the `DecodedTrace` fast path vs the
-// `Access` byte-address path, for all six paper schemes (plus the two
-// auxiliary spatial baselines). The decode-once refactor is a pure
-// representation change, so the per-access `AccessResult` stream and the
-// final `CacheStats` must be identical.
+// Decoded-stream differentials: `CacheModel::replay_decoded` over a
+// `DecodedTrace` vs per-access `CacheModel::access` over the source
+// `Trace`, for all six paper schemes (plus the two auxiliary spatial
+// baselines). Decoding is a pure representation change, so the counters
+// must agree after every replayed range — whether the trace was decoded at
+// the cache's own geometry or at one with a different set count.
 // ---------------------------------------------------------------------------
 
-/// Materializes the synthetic stream once, decodes it, and replays both
-/// representations through two identically constructed caches.
+/// Materializes the synthetic stream once and replays it through
+/// identically constructed caches: per access through `access`, and
+/// through `replay_decoded` in ranges of 1 to 97 accesses, comparing the
+/// counters at every range boundary. Runs once with the trace decoded at
+/// `geom` and once decoded at twice its set count.
 fn assert_decoded_equivalent<C: CacheModel>(
     name: &str,
     build: impl Fn() -> C,
@@ -1575,23 +1579,29 @@ fn assert_decoded_equivalent<C: CacheModel>(
             }
         })
         .collect();
-    let decoded = DecodedTrace::decode(&trace, geom);
-    let mut byte_path = build();
-    let mut fast_path = build();
-    for (i, (a, d)) in trace.iter().zip(decoded.iter()).enumerate() {
-        let old = byte_path.access(a.addr, a.kind);
-        let new = fast_path.access_decoded(d);
-        assert_eq!(
-            old, new,
-            "{name}: access #{i} ({:?}, {:?}) diverged (Access path vs decoded path)",
-            a.addr, a.kind
-        );
+    let other = CacheGeometry::new(geom.sets() * 2, geom.ways(), geom.line_bytes()).unwrap();
+    for decode_geom in [geom, other] {
+        let decoded = DecodedTrace::decode(&trace, decode_geom);
+        assert_eq!(decoded.compatible_with(geom), decode_geom == geom);
+        let mut byte_path = build();
+        let mut replayed = build();
+        let mut start = 0;
+        while start < trace.len() {
+            let end = (start + 1 + start % 97).min(trace.len());
+            for a in &trace.as_slice()[start..end] {
+                byte_path.access(a.addr, a.kind);
+            }
+            replayed.replay_decoded(&decoded, start..end);
+            assert_eq!(
+                byte_path.stats(),
+                replayed.stats(),
+                "{name}: accesses {start}..{end} diverged (Access path vs replay_decoded, \
+                 decoded at {} sets)",
+                decode_geom.sets()
+            );
+            start = end;
+        }
     }
-    assert_eq!(
-        byte_path.stats(),
-        fast_path.stats(),
-        "{name}: final CacheStats diverged after {accesses} decoded accesses"
-    );
 }
 
 #[test]
@@ -1632,8 +1642,6 @@ fn pelifo_decoded_matches_access_path() {
 
 #[test]
 fn vway_decoded_matches_access_path() {
-    // V-Way has no decoded fast path (its tag store probes a different
-    // shape); this pins the documented trait-default fallback.
     let geom = paper_geom();
     assert_decoded_equivalent(
         "VWAY/decoded",
@@ -1690,8 +1698,8 @@ fn auxiliary_spatial_decoded_match_access_path() {
 #[test]
 fn replay_decoded_falls_back_on_incompatible_geometry() {
     // A trace decoded for one geometry replayed into a cache of another
-    // must take the documented line-aligned fallback and match a direct
-    // `Access`-path replay exactly.
+    // rebuilds line-aligned addresses at the trace's line size and must
+    // match a direct `Access`-path replay exactly.
     let decode_geom = paper_geom();
     let cache_geom = pressure_geom();
     let mut rng = SplitMix64::new(0xDEC0_8001);
@@ -1707,18 +1715,18 @@ fn replay_decoded_falls_back_on_incompatible_geometry() {
     let decoded = DecodedTrace::decode(&trace, decode_geom);
     assert!(!decoded.compatible_with(cache_geom));
     let mut byte_path = SetAssocCache::new(cache_geom, Box::new(Lru::new(cache_geom)));
-    let mut fast_path = SetAssocCache::new(cache_geom, Box::new(Lru::new(cache_geom)));
+    let mut replayed = SetAssocCache::new(cache_geom, Box::new(Lru::new(cache_geom)));
     // The byte path sees line-aligned addresses: intra-line offsets are not
     // representable in a decoded stream, and every model is offset-invariant.
     for a in &trace {
         let line = a.addr.line(decode_geom.line_bytes());
         byte_path.access(line.to_address(decode_geom.line_bytes()), a.kind);
     }
-    fast_path.run_decoded(&decoded);
+    replayed.replay_decoded(&decoded, 0..decoded.len());
     assert_eq!(
         byte_path.stats(),
-        fast_path.stats(),
-        "incompatible-geometry fallback diverged from the Access path"
+        replayed.stats(),
+        "incompatible-geometry replay diverged from the Access path"
     );
 }
 
@@ -1730,7 +1738,7 @@ fn replay_decoded_falls_back_on_incompatible_geometry() {
 // (pair-folded so SBC-static partner sets stay together); replaying each
 // shard through a fresh cache and summing the per-shard `CacheStats` must
 // be *indistinguishable* from a serial replay for every scheme whose
-// cache opts into `supports_set_sharding` — and must never be attempted
+// cache opts into `Caps::set_sharding` — and must never be attempted
 // for the schemes that decline (their cross-set state makes the shard
 // order observable). Both directions are pinned here with the same
 // SplitMix64 synthetic streams the backend differentials use.
@@ -1768,7 +1776,7 @@ fn sharded_stats(scheme: Scheme, geom: CacheGeometry, plan: &ShardedTrace) -> Ca
         .iter()
         .map(|shard| {
             let mut cache = build_cache(scheme, geom);
-            cache.run_decoded(shard.trace());
+            cache.replay_decoded(shard.trace(), 0..shard.trace().len());
             *cache.stats()
         })
         .fold(CacheStats::default(), |acc, s| acc + s)
@@ -1784,7 +1792,7 @@ fn sharded_replay_matches_serial_for_every_shardable_scheme() {
             continue;
         }
         let mut serial = build_cache(scheme, geom);
-        serial.run_decoded(&decoded);
+        serial.replay_decoded(&decoded, 0..decoded.len());
         let exact = run(&RunPlan::new(scheme, geom, warm_len), &decoded);
         for shards in [1usize, 2, 4, 7] {
             let plan = ShardedTrace::partition(&decoded, shards);
@@ -1834,7 +1842,7 @@ fn surplus_shards_stay_empty_and_preserve_stats() {
             continue;
         }
         let mut serial = build_cache(scheme, geom);
-        serial.run_decoded(&decoded);
+        serial.replay_decoded(&decoded, 0..decoded.len());
         assert_eq!(
             *serial.stats(),
             sharded_stats(scheme, geom, &plan),
@@ -1880,7 +1888,7 @@ fn write_flags_survive_compaction_across_word_boundaries() {
             }
         }
         let mut serial = build_cache(Scheme::Lru, geom);
-        serial.run_decoded(&decoded);
+        serial.replay_decoded(&decoded, 0..decoded.len());
         let merged = sharded_stats(Scheme::Lru, geom, &plan);
         assert_eq!(*serial.stats(), merged, "{shards} shards");
         assert!(
@@ -1928,9 +1936,10 @@ fn restored_replay_matches_cold_for_every_snapshottable_scheme() {
         restored
             .restore(&snap)
             .expect("matching scheme and geometry");
+        let line_bytes = decoded.geometry().line_bytes();
         for (i, d) in decoded.iter().enumerate().skip(warm_len) {
-            let want = cold.access_decoded(d);
-            let got = restored.access_decoded(d);
+            let want = cold.access(d.address(line_bytes), d.kind());
+            let got = restored.access(d.address(line_bytes), d.kind());
             assert_eq!(want, got, "{scheme}: access #{i} diverged after restore");
         }
         assert_eq!(
@@ -2142,7 +2151,7 @@ fn sampling_capability_is_a_subset_of_sharding_plus_dip() {
 #[test]
 fn serial_only_schemes_ignore_the_sharding_offer() {
     // The negative direction of the boundary: offering a shard plan to a
-    // scheme whose cache declines `supports_set_sharding` must change
+    // scheme whose cache declines `Caps::set_sharding` must change
     // nothing — `execute` routes it through the serial path and the
     // result is bit-identical to never having set `STEM_SHARDS`.
     let geom = paper_geom();
